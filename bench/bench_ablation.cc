@@ -1,8 +1,8 @@
 // Ablations for the design choices DESIGN.md calls out:
 //
-//   A1  group-commit batching window — the leader's pre-swap wait trades a
-//       little single-stream latency for much larger commit batches under
-//       concurrency (PostgreSQL's commit_delay).
+//   A1  group-commit batching window — the WAL writer's adaptive
+//       pre-seal wait trades a little single-stream latency for larger
+//       commit batches under concurrency (PostgreSQL's commit_delay).
 //   A2  escrow bound checks — admission control costs one extra row
 //       materialization + pending-delta scan per increment; measure the tax
 //       on the hot path.

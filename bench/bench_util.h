@@ -220,9 +220,9 @@ struct SalesBench {
   }
 };
 
-// A batching window worth a fraction of the device latency keeps the
-// group-commit leader from claiming its batch before concurrent committers
-// have appended to it.
+// A batching window worth a fraction of the device latency keeps the WAL
+// writer from sealing its batch before concurrent committers have staged
+// into it.
 inline constexpr uint64_t kGroupCommitWindowMicros = 50;
 
 // `env` routes all file I/O through a custom Env (e.g. FaultInjectionEnv to

@@ -37,21 +37,19 @@
 //   LogManager::seg_mu_         (55)   WAL segment manifest (rotation/retire)
 //   LogManager::wal_shard_mu_   (58)   one commit-staging shard (never
 //                                      nested with another shard)
-//   LogManager::buf_mu_         (60)   WAL append buffer (serial path)
 //   Catalog::catalog_mu_        (70)   name/schema maps: never calls out
 //   MetricsRegistry::registry_mu_ (80) instrument interning (leaf)
 //   FlightRecorder::flight_mu_  (83)   flight-recorder thread registration
 //                                      and snapshots (Emit itself is
-//                                      lock-free; a black-box dump snaps
-//                                      under WAL locks, rank 50/60)
+//                                      lock-free)
 //   TraceRecorder::ring_mu_     (85)   trace ring (EmitTrace under WAL locks)
 //   FaultInjectionEnv::env_mu_  (90)   fault schedule (env ops under seg_mu_)
 //
 // e.g. Commit holds visibility_mu_ (20) while drawing the durable epoch
-// (21), staging the COMMIT record (58/60) and flipping versions (40);
+// (21), staging the COMMIT record (58) and flipping versions (40);
 // ApplyIncrement holds a version stripe (40) while staging the INCREMENT
-// record (58/60); the group-commit leader holds flush_mu_ (50) while
-// swapping the buffer (60); snapshot reads hold a version stripe (40) while
+// record (58); the WAL writer holds flush_mu_ (50) while updating the
+// segment manifest (55); snapshot reads hold a version stripe (40) while
 // probing the physical tree (45).
 //
 // Striping note: the lock-table stripes all share rank 30, the version-chain
@@ -104,7 +102,6 @@ enum class LockRank : int {
   kWalFlush = 50,
   kWalSegments = 55,
   kWalShard = 58,
-  kWalBuffer = 60,
   kCatalog = 70,
   kMetricsRegistry = 80,
   kFlightRing = 83,

@@ -39,14 +39,6 @@ LockManager::Options MakeLockOptions(const DatabaseOptions& options,
   return lock_options;
 }
 
-obs::FlightRecorder::Options MakeFlightOptions(const DatabaseOptions& options,
-                                               Clock* clock) {
-  obs::FlightRecorder::Options flight_options;
-  flight_options.events_per_thread = options.flight_recorder_events;
-  flight_options.clock = clock;
-  return flight_options;
-}
-
 // Pins the transaction as "owner busy" for the duration of one engine entry
 // point. The stuck-transaction watchdog only reaps transactions whose owner
 // latch it can take without blocking, so a transaction is never aborted out
@@ -92,7 +84,7 @@ Database::Database(DatabaseOptions options)
           registry_.GetGauge("ivdb_storage_version_chain_max")),
       version_chain_p99_gauge_(
           registry_.GetGauge("ivdb_storage_version_chain_p99")),
-      flight_(MakeFlightOptions(options_, clock_)),
+      flight_(obs::FlightRecorder::Options{.clock = clock_}),
       locks_(MakeLockOptions(options_, &registry_)) {
   ckpt_total_ = registry_.GetCounter("ivdb_ckpt_total");
   ckpt_duration_ = registry_.GetHistogram("ivdb_ckpt_duration_micros");
@@ -136,25 +128,14 @@ Database::Database(DatabaseOptions options)
   log_options.flush_delay_micros = options_.flush_delay_micros;
   log_options.group_commit_window_micros =
       options_.group_commit_window_micros;
-  log_options.dedicated_writer = options_.commit_pipeline;
-  log_options.staging_shards = options_.wal_staging_shards;
-  // The adaptive batching window regrows from the configured group-commit
-  // window and may stretch to 2x under sustained commit load. The cap is
-  // deliberately tight: the window only has to assemble the convoy of
-  // committers released by the previous batch — stragglers arriving later
-  // are accumulated by the fsync itself — so a window anywhere near the
-  // device latency just adds a full sleep to every batch cycle.
-  log_options.batch_window_min_micros = options_.group_commit_window_micros;
-  log_options.batch_window_max_micros =
-      2 * options_.group_commit_window_micros;
   log_options.metrics = &registry_;
   log_options.flight = &flight_;
-  // Runs once, on the thread whose I/O failure poisoned the WAL, possibly
-  // with WAL locks held: flip the gauge, drop a span marker into whatever
-  // transaction that thread was serving, and write the black-box dump —
-  // the flight snapshot takes only flight_mu_ (rank 83) and Env calls
-  // (rank 90), both above every WAL rank, so the dump is lock-order-legal
-  // even from under flush_mu_.
+  // Runs once, on the first committer or checkpointer to observe the WAL
+  // poison: flip the gauge, drop a span marker into whatever transaction
+  // that thread was serving, and write the black-box dump — the flight
+  // snapshot takes only flight_mu_ (rank 83) and Env calls (rank 90), both
+  // above every WAL rank, so the dump is lock-order-legal wherever the
+  // poison is observed.
   log_options.on_poison = [this] {
     degraded_gauge_->Set(1);
     obs::EmitTrace(obs::TraceEventType::kEngineDegraded, 1, 0);
@@ -163,9 +144,9 @@ Database::Database(DatabaseOptions options)
     // An online view build in flight dies with the engine; stamp the dump
     // with the build-specific reason so the post-mortem starts at the
     // right subsystem. view_build_active_ is a lock-free atomic — this
-    // callback can run under WAL locks, so it must not take any lock the
-    // builder holds (the builder itself polls poisoned() at every phase
-    // boundary and abandons the build like a crash would).
+    // callback can run on a committer holding engine locks, so it must not
+    // take any lock the builder holds (the builder itself polls poisoned()
+    // at every phase boundary and abandons the build like a crash would).
     WriteBlackboxDump(view_build_active_.load(std::memory_order_acquire)
                           ? "view_build"
                           : "degraded");
@@ -1518,7 +1499,7 @@ Status Database::Checkpoint() {
   // transactions, outside the capture section, so image consistency and
   // commit flow are untouched). Best-effort — a cleanup failure does not
   // fail the checkpoint that already published.
-  if (s.ok() && options_.ghost_cleanup_on_checkpoint) (void)CleanGhosts();
+  if (s.ok()) (void)CleanGhosts();
   return s;
 }
 

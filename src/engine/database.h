@@ -55,20 +55,10 @@ struct DatabaseOptions {
   SyncMode sync = SyncMode::kNone;
   // Simulated stable-storage latency per log flush (see LogManagerOptions).
   uint64_t flush_delay_micros = 0;
-  // Group-commit batching window (see LogManagerOptions). With the commit
-  // pipeline on, this seeds the adaptive batching window's lower bound; the
-  // writer stretches or shrinks the window with load.
+  // Group-commit batching window (see LogManagerOptions): the floor of the
+  // WAL writer's adaptive window, which stretches to at most 2x under
+  // sustained commit load.
   uint64_t group_commit_window_micros = 0;
-  // Parallel group-commit pipeline (LogManagerOptions::dedicated_writer):
-  // committers stage commit records into per-core shards; a dedicated WAL
-  // writer coalesces everything staged into one segment append and a single
-  // fsync per batch, and commit visibility flips strictly in LSN order off
-  // the durable watermark. On by default; false falls back to the inline
-  // leader/follower group commit (the two produce byte-identical logs for
-  // the same append sequence).
-  bool commit_pipeline = true;
-  // Staging shards for the pipeline; 0 = auto (min(8, hardware threads)).
-  uint32_t wal_staging_shards = 0;
 
   // WAL segment rotation threshold (see LogManagerOptions::segment_bytes);
   // 0 keeps one ever-growing segment.
@@ -101,11 +91,6 @@ struct DatabaseOptions {
   // Background ghost cleanup for every aggregate view.
   bool start_ghost_cleaner = false;
   uint64_t ghost_cleaner_interval_micros = 50000;
-  // Piggyback one batched ghost-cleanup pass on every successful fuzzy
-  // checkpoint (the pass runs as system transactions after the image is
-  // published, so it rides the same quiet point without extending the
-  // capture section).
-  bool ghost_cleanup_on_checkpoint = true;
 
   // Read-optimized snapshot scans: keep a contiguous last-committed-row
   // cache per indexed view, invalidated key-precisely by (escrow) commits
@@ -126,12 +111,6 @@ struct DatabaseOptions {
   // Transaction::DumpTrace() yields a readable span log.
   size_t trace_ring_capacity = 0;
 
-  // Engine flight recorder ring capacity, in events per thread (rounded up
-  // to a power of two; see obs/flight_recorder.h). Unlike the per-txn trace
-  // ring this is always on — it is the black-box record dumped on
-  // degraded-mode entry and the input of tools/ivdb_trace.
-  size_t flight_recorder_events = 2048;
-
   // Admission control: maximum concurrently active user transactions
   // (system transactions — ghost maintenance — are exempt). 0 disables the
   // gate. When the engine is full, BeginChecked() queues up to
@@ -145,10 +124,6 @@ struct DatabaseOptions {
 
   // --- Online view build (CreateIndexedViewOnline) ---
 
-  // Catch-up convergence threshold: once the un-replayed WAL tail behind
-  // the build cursor is below this many bytes, the builder stops iterating
-  // catch-up rounds and tries the flip barrier.
-  uint64_t online_build_catchup_threshold_bytes = 64 * 1024;
   // Bounded wait for the flip barrier's quiesce attempt. On timeout the
   // builder reopens the Begin gate, replays whatever tail accumulated, and
   // retries after a jittered backoff — writers never stall longer than
@@ -160,13 +135,6 @@ struct DatabaseOptions {
   // Base backoff between barrier attempts (exponential, capped at 16x,
   // ±50% jitter; sleeps go through DatabaseOptions::clock).
   uint64_t online_build_backoff_micros = 2000;
-  // Builder pacing: the background build cedes the CPU for this long after
-  // every scan chunk, apply batch, and catch-up round, so foreground
-  // commits are never starved behind a long builder CPU burst (the build
-  // is one thread, but on small machines an unpaced scan of a large table
-  // monopolizes a core and inflates writer tail latency). 0 disables
-  // pacing. The flip barrier's final quiesced round never paces.
-  uint64_t online_build_pace_micros = 500;
 
   // Stuck-transaction watchdog: user transactions idle for longer than this
   // (wall-clock age since Begin, owner thread not inside an engine call)
@@ -249,8 +217,7 @@ class Database : public LogApplier, public IndexResolver {
   //   2. the base table is snapshot-scanned as of the capture timestamp
   //      into a private offline state;
   //   3. the WAL tail past the capture point is replayed into that state,
-  //      iterating until the remaining tail is below
-  //      online_build_catchup_threshold_bytes;
+  //      iterating until the remaining tail is below 64 KiB;
   //   4. a bounded-wait barrier (TryQuiesce + jittered-backoff retries)
   //      drains actives, the final tail is applied, the contents are logged
   //      through a system transaction, VIEW_BUILD_COMMIT seals the build,
@@ -612,10 +579,10 @@ class Database : public LogApplier, public IndexResolver {
   obs::Histogram* build_phase_barrier_ = nullptr;
   obs::Histogram* build_phase_flip_ = nullptr;
   // True while a build is in flight. Read by the WAL poison callback —
-  // which runs under WAL locks — to stamp the blackbox dump with the
-  // "view_build" reason; must stay lock-free. The builder polls
-  // degraded() at every phase boundary and aborts the build exactly like
-  // a crash would.
+  // which can run on a committer holding engine locks — to stamp the
+  // blackbox dump with the "view_build" reason; must stay lock-free. The
+  // builder polls degraded() at every phase boundary and aborts the build
+  // exactly like a crash would.
   std::atomic<bool> view_build_active_{false};
 
   // Background builder thread (StartViewBuildAsync). `build_running_`

@@ -52,6 +52,19 @@ namespace {
 // whatever tail remains.
 constexpr uint64_t kMaxCatchUpRounds = 64;
 
+// Catch-up convergence threshold: once the un-replayed WAL tail behind the
+// build cursor is below this many bytes, the builder stops iterating
+// catch-up rounds and tries the flip barrier.
+constexpr uint64_t kCatchUpThresholdBytes = 64 * 1024;
+
+// Builder pacing: the background build cedes the CPU for this long after
+// every scan chunk, apply batch, and catch-up round, so foreground commits
+// are never starved behind a long builder CPU burst (the build is one
+// thread, but on small machines an unpaced scan of a large table
+// monopolizes a core and inflates writer tail latency). The flip barrier's
+// final quiesced round never paces.
+constexpr uint64_t kBuildPaceMicros = 500;
+
 // Framing overhead estimate per record for the catch-up lag gauge
 // (length + CRC + fixed fields; payload sizes are added exactly).
 constexpr uint64_t kRecordOverheadBytes = 32;
@@ -106,7 +119,6 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
   if (tree == nullptr) {
     return Status::Corruption("fact table index missing for online build");
   }
-  const uint64_t pace = options_.online_build_pace_micros;
   // Key universe: physical keys plus keys with only version-chain history
   // (same enumeration as the checkpoint image builder). The physical pass
   // runs in bounded chunks, re-entering the tree at the last key seen:
@@ -134,7 +146,7 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
       }
       return true;
     });
-    if (more && pace > 0) clock_->SleepMicros(pace);
+    if (more) clock_->SleepMicros(kBuildPaceMicros);
   }
   for (std::string& key : versions_.ListChainKeys(ctx->fact->id)) {
     keys.insert(std::move(key));
@@ -145,7 +157,7 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
     if (batch.empty()) return Status::OK();
     Status s = ctx->maintainer->ApplyBatchOffline(batch, &ctx->state);
     batch.clear();
-    if (pace > 0) clock_->SleepMicros(pace);
+    clock_->SleepMicros(kBuildPaceMicros);
     return s;
   };
   for (const std::string& key : keys) {
@@ -522,14 +534,10 @@ Status Database::RunOnlineBuild(ViewDefinition def, const ViewInfo** out) {
     if (!s.ok()) break;
     catalog_.UpdateViewBuild(ctx->id, ViewBuildState::Phase::kCatchUp,
                              ctx->tail_bytes);
-    if (ctx->tail_bytes <= options_.online_build_catchup_threshold_bytes) {
-      break;
-    }
+    if (ctx->tail_bytes <= kCatchUpThresholdBytes) break;
     // Pace between rounds so back-to-back tail decodes can't monopolize a
     // core against foreground commits.
-    if (options_.online_build_pace_micros > 0) {
-      clock_->SleepMicros(options_.online_build_pace_micros);
-    }
+    clock_->SleepMicros(kBuildPaceMicros);
   }
   if (!s.ok()) {
     AbandonOnlineBuild(ctx.get(), s);

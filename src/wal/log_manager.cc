@@ -1,7 +1,6 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -104,38 +103,34 @@ LogManager::LogManager(LogManagerOptions options)
                           : nullptr),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_registry_.get()),
-      clock_(options_.clock != nullptr ? options_.clock : Clock::Default()) {
-  flight_ = options_.flight;
-  if (options_.dedicated_writer) {
-    uint32_t n = options_.staging_shards;
-    if (n == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      n = std::min<uint32_t>(8, hw == 0 ? 1 : hw);
-    }
-    shards_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<StagingShard>());
-    }
-    policy_ = AdaptiveBatchPolicy(options_.batch_window_min_micros,
-                                  options_.batch_window_max_micros);
-    // Started here rather than in Open() so fixtures that never Open (the
-    // in-memory log) still get a writer; it parks until work arrives.
-    writer_ = std::thread([this] { WriterLoop(); });
+      clock_(options_.clock != nullptr ? options_.clock : Clock::Default()),
+      flight_(options_.flight),
+      policy_(options_.group_commit_window_micros,
+              2 * options_.group_commit_window_micros) {
+  uint32_t n = options_.staging_shards;
+  if (n == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    n = std::min<uint32_t>(8, hw == 0 ? 1 : hw);
   }
+  shards_.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    shards_.push_back(std::make_unique<StagingShard>());
+  }
+  // Started here rather than in Open() so fixtures that never Open (the
+  // in-memory log) still get a writer; it parks until work arrives.
+  writer_ = std::thread([this] { WriterLoop(); });
 }
 
 LogManager::~LogManager() {
-  if (writer_.joinable()) {
-    {
-      MutexLock guard(&flush_mu_);
-      writer_stop_ = true;
-      writer_cv_.NotifyAll();
-    }
-    writer_.join();
+  {
+    MutexLock guard(&flush_mu_);
+    writer_stop_ = true;
+    writer_cv_.NotifyAll();
   }
+  writer_.join();
   // Destructor: nowhere to surface a close error, and everything acked was
   // already fsynced — an error here cannot lose acknowledged data. (Staged
-  // frames never flushed are dropped, exactly like the serial buffer_.)
+  // frames never flushed are dropped: no committer was told they landed.)
   if (file_ != nullptr) (void)file_->Close();
 }
 
@@ -247,37 +242,6 @@ Status LogManager::Open() {
   }
   next_lsn_.store(last_lsn_on_disk + 1, std::memory_order_relaxed);
   flushed_lsn_.store(last_lsn_on_disk, std::memory_order_relaxed);
-  {
-    MutexLock buf_guard(&buf_mu_);
-    buffered_upto_ = last_lsn_on_disk;
-  }
-  return Status::OK();
-}
-
-Status LogManager::Append(LogRecord* rec) {
-  if (options_.dedicated_writer) return AppendStaged(rec);
-  if (poisoned()) {
-    return Status::Unavailable("WAL is poisoned; engine is read-only");
-  }
-  std::string body;
-  // LSN must be assigned while holding buf_mu_ so buffer order == LSN order.
-  MutexLock guard(&buf_mu_);
-  rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  // WAL LSN monotonicity: every record appended must extend the buffered
-  // prefix — a regression here silently reorders recovery.
-  IVDB_INVARIANT(rec->lsn > buffered_upto_,
-                 "WAL LSN must advance past the buffered prefix");
-  IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
-                 "WAL LSN must advance past the flushed prefix");
-  rec->EncodeTo(&body);
-  PutFixed32(&buffer_, static_cast<uint32_t>(body.size()));
-  PutFixed32(&buffer_, Crc32(body.data(), body.size()));
-  buffer_.append(body);
-  buffered_upto_ = rec->lsn;
-  metrics_.records_appended->Add();
-  metrics_.bytes_appended->Add(body.size() + 8);
-  appended_bytes_.fetch_add(body.size() + 8, std::memory_order_relaxed);
-  obs::EmitTrace(obs::TraceEventType::kWalAppend, rec->lsn, body.size() + 8);
   return Status::OK();
 }
 
@@ -293,10 +257,7 @@ Status LogManager::WriteBatch(const std::string& batch) {
       IVDB_RETURN_NOT_OK(file_->Sync());
     }
   }
-  if (options_.flush_delay_micros > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.flush_delay_micros));
-  }
+  clock_->SleepMicros(options_.flush_delay_micros);
   if (!batch.empty()) {
     last_batch_fsync_micros_.store(clock_->NowMicros() - sync_start,
                                    std::memory_order_relaxed);
@@ -333,124 +294,6 @@ Status LogManager::RotateLocked(Lsn seal_end_lsn) {
   return Status::OK();
 }
 
-Status LogManager::LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate) {
-  flusher_active_ = true;
-  if (options_.group_commit_window_micros > 0 && !force_rotate) {
-    // Batching window: let committers that are a few microseconds behind
-    // us join this batch instead of waiting a full device latency.
-    lock.Unlock();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_commit_window_micros));
-    lock.Lock();
-  }
-  std::string batch;
-  Lsn batch_upto;
-  {
-    MutexLock buf_guard(&buf_mu_);
-    batch.swap(buffer_);
-    batch_upto = buffered_upto_;
-  }
-  lock.Unlock();
-  Status status = WriteBatch(batch);
-  lock.Lock();
-  if (!status.ok()) {
-    // Unrecoverable: the batch we swapped out never became durable (and a
-    // failed fsync dropped it from the file). Subsequent appends would be
-    // separated from the durable prefix by a hole, so the log goes sticky
-    // read-only; the original I/O error is surfaced to this committer and
-    // everyone else sees kUnavailable.
-    flusher_active_ = false;
-    Poison();
-    flush_cv_.NotifyAll();
-    return status;
-  }
-  metrics_.flushes->Add();
-  Lsn prev = flushed_lsn_.load(std::memory_order_relaxed);
-  IVDB_INVARIANT(batch_upto >= prev || batch.empty(),
-                 "flushed LSN watermark may only advance");
-  if (batch_upto > prev) {
-    metrics_.flushed_records->Add(batch_upto - prev);
-    flushed_lsn_.store(batch_upto, std::memory_order_release);
-  }
-  if (file_ != nullptr) {
-    uint64_t open_bytes;
-    {
-      MutexLock seg_guard(&seg_mu_);
-      segments_.back().bytes += batch.size();
-      open_bytes = segments_.back().bytes;
-    }
-    const bool over_threshold =
-        options_.segment_bytes > 0 && open_bytes >= options_.segment_bytes;
-    if ((over_threshold || force_rotate) && open_bytes > 0) {
-      // Every batch lands wholly in the open segment, so the segment's
-      // highest LSN is exactly the flushed watermark.
-      status = RotateLocked(flushed_lsn_.load(std::memory_order_relaxed));
-      if (!status.ok()) {
-        // A half-rotated log (sealed but no successor, or an unusable
-        // successor) cannot accept appends; same poison rules as a failed
-        // batch.
-        flusher_active_ = false;
-        Poison();
-        flush_cv_.NotifyAll();
-        return status;
-      }
-    }
-  }
-  flusher_active_ = false;
-  flush_cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status LogManager::Flush(Lsn upto) {
-  if (options_.dedicated_writer) return FlushStaged(upto);
-  UniqueMutexLock lock(&flush_mu_);
-  if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
-    return Status::OK();  // already durable: not a flush wait
-  }
-  const uint64_t flush_start = clock_->NowMicros();
-  while (flushed_lsn_.load(std::memory_order_acquire) < upto) {
-    if (poisoned()) {
-      // A previous flush failed and dropped buffered records; writing more
-      // would put a gap in the durable record stream.
-      return Status::Unavailable("WAL is poisoned; engine is read-only");
-    }
-    if (flusher_active_) {
-      // Follower: a leader's I/O is in flight; our records (appended before
-      // this call) will ride this batch or the immediately following one.
-      flush_cv_.Wait(&lock);
-      continue;
-    }
-    // Become the leader: claim everything buffered so far and write it as
-    // one batch with the state lock released, so concurrent committers keep
-    // appending into the next batch meanwhile.
-    IVDB_RETURN_NOT_OK(LeaderFlushOnce(lock, /*force_rotate=*/false));
-  }
-  const uint64_t waited = clock_->NowMicros() - flush_start;
-  metrics_.flush_wait_latency->Record(waited);
-  obs::EmitTrace(obs::TraceEventType::kWalFlushJoin, upto, waited);
-  return Status::OK();
-}
-
-Status LogManager::RotateNow() {
-  if (options_.dir.empty()) return Status::OK();  // in-memory log
-  if (options_.dedicated_writer) return RotateNowStaged();
-  UniqueMutexLock lock(&flush_mu_);
-  while (flusher_active_) {
-    if (poisoned()) {
-      return Status::Unavailable("WAL is poisoned; engine is read-only");
-    }
-    flush_cv_.Wait(&lock);
-  }
-  if (poisoned()) {
-    return Status::Unavailable("WAL is poisoned; engine is read-only");
-  }
-  // A leader pass with forced rotation: drains the buffer into the open
-  // segment, then seals it (no-op when it holds no records).
-  return LeaderFlushOnce(lock, /*force_rotate=*/true);
-}
-
-// --- Dedicated-writer pipeline -------------------------------------------
-
 size_t LogManager::ShardIndex() const {
   // Stable per-thread shard pick; collisions only share a staging buffer.
   thread_local const size_t hashed =
@@ -458,11 +301,11 @@ size_t LogManager::ShardIndex() const {
   return hashed % shards_.size();
 }
 
-Status LogManager::AppendStaged(LogRecord* rec) {
+Status LogManager::Append(LogRecord* rec) {
   if (poisoned()) {
-    // Belt-and-braces: normally a FlushStaged/RotateNowStaged waiter claims
-    // the deferred callback first, but an appender can be the first thread
-    // to observe the poison.
+    // Belt-and-braces: normally a Flush/RotateNow waiter claims the deferred
+    // callback first, but an appender can be the first thread to observe
+    // the poison.
     FirePendingPoisonCallback();
     return Status::Unavailable("WAL is poisoned; engine is read-only");
   }
@@ -491,7 +334,7 @@ Status LogManager::AppendStaged(LogRecord* rec) {
   return Status::OK();
 }
 
-Status LogManager::FlushStaged(Lsn upto) {
+Status LogManager::Flush(Lsn upto) {
   if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
     return Status::OK();  // already durable: not a flush wait
   }
@@ -523,7 +366,7 @@ Status LogManager::FlushStaged(Lsn upto) {
   if (!result.ok()) {
     // Fired here — on the failing committer's thread, inside its trace
     // scope — not on the writer thread, so the degraded-mode marker lands
-    // in the transaction that surfaces the failure (serial-leader parity).
+    // in the transaction that surfaces the failure.
     FirePendingPoisonCallback();
   }
   IVDB_RETURN_NOT_OK(result);
@@ -533,7 +376,8 @@ Status LogManager::FlushStaged(Lsn upto) {
   return Status::OK();
 }
 
-Status LogManager::RotateNowStaged() {
+Status LogManager::RotateNow() {
+  if (options_.dir.empty()) return Status::OK();  // in-memory log
   Status result = Status::OK();
   {
     UniqueMutexLock lock(&flush_mu_);
@@ -630,7 +474,7 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
   const uint64_t write_start = clock_->NowMicros();
   if (!batch.empty() || do_rotate) {
     // ONE segment append + ONE fsync for the whole batch (WriteBatch also
-    // models the device latency), exactly like the serial leader.
+    // models the device latency).
     status = WriteBatch(batch);
   }
   if (flight_ != nullptr && !batch.empty()) {
@@ -729,8 +573,6 @@ void LogManager::AdvancePastLsn(Lsn lsn) {
   Lsn f = flushed_lsn_.load(std::memory_order_relaxed);
   while (f < lsn && !flushed_lsn_.compare_exchange_weak(f, lsn)) {
   }
-  MutexLock guard(&buf_mu_);
-  if (buffered_upto_ < lsn) buffered_upto_ = lsn;
 }
 
 Status LogManager::ReadLog(const std::string& dir,
@@ -864,7 +706,7 @@ Status LogManager::ReadSegmentFiles(
 
 void LogManager::Poison() {
   if (!poisoned_.exchange(true, std::memory_order_acq_rel)) {
-    // Wake flush followers parked on flush_cv_ so they observe the poison
+    // Wake flush waiters parked on flush_cv_ so they observe the poison
     // instead of waiting for a durability that will never come.
     flush_cv_.NotifyAll();
     if (options_.on_poison) options_.on_poison();

@@ -34,9 +34,9 @@ struct LogManagerOptions {
   // in-memory log (unit tests, lock-only benchmarks).
   std::string dir;
   // Rotation threshold: once the open segment reaches this many bytes the
-  // group-commit leader seals it (fsync) and switches appends to a fresh
-  // segment. 0 disables size-based rotation (one segment grows forever,
-  // matching the old single-file behaviour).
+  // WAL writer seals it (fsync) and switches appends to a fresh segment. 0
+  // disables size-based rotation (one segment grows forever, matching the
+  // old single-file behaviour).
   uint64_t segment_bytes = 0;
   SyncMode sync = SyncMode::kNone;
   // Artificial per-flush latency in microseconds, modelling commit-time
@@ -44,11 +44,15 @@ struct LogManagerOptions {
   // transactions whose records are in the flushed batch — this is the knob
   // that makes lock-hold-time effects measurable on any hardware.
   uint64_t flush_delay_micros = 0;
-  // Leader batching window (PostgreSQL's commit_delay): the group-commit
-  // leader waits this long before claiming the buffer, letting concurrent
-  // committers append into its batch. Worth a fraction of
-  // flush_delay_micros under concurrent commit load; adds that much commit
-  // latency when a single transaction commits alone.
+  // Floor of the writer's adaptive batching window (PostgreSQL's
+  // commit_delay analog; see wal/batch_policy.h). The writer sleeps the
+  // current window after each wakeup so concurrent committers join the
+  // batch it is about to seal, and the policy doubles or halves the window
+  // inside [w, 2w] based on commits per batch. The window's job is convoy
+  // assembly — committers released together by the previous batch
+  // re-commit together — so the cap stays far below the device latency:
+  // the fsync itself already accumulates stragglers. 0 = the writer never
+  // waits (each wakeup seals immediately).
   uint64_t group_commit_window_micros = 0;
   // File-system seam; nullptr => Env::Default(). Tests inject a
   // FaultInjectionEnv here to crash the log at exact write/sync boundaries.
@@ -60,38 +64,18 @@ struct LogManagerOptions {
   Clock* clock = nullptr;
   // Invoked exactly once, on the transition into the poisoned (degraded)
   // state — see Poison(). The engine hooks this to flip its degraded gauge
-  // and emit the `engine.degraded` trace event. May be invoked from any
-  // thread, possibly while WAL-internal locks are held; keep it cheap and
-  // do not call back into the log manager.
+  // and emit the `engine.degraded` trace event. Never runs on the writer
+  // thread: a writer-side failure defers it to the first committer or
+  // checkpointer that observes the poison. Keep it cheap and do not call
+  // back into the log manager.
   std::function<void()> on_poison = nullptr;
   // Engine flight recorder: the dedicated writer names its lane
   // ("wal-writer") and records per-batch assembly/fsync spans on it.
   // nullptr disables the instrumentation.
   obs::FlightRecorder* flight = nullptr;
-
-  // --- Parallel group-commit pipeline ---
-
-  // With true, committers stage framed records into per-core shards and a
-  // dedicated WAL-writer thread coalesces everything staged into one
-  // segment append with a single fsync per batch; Flush() becomes
-  // "hand the writer work, wait for the durable watermark". With false
-  // (the default for direct LogManager users), the original inline
-  // leader/follower group commit runs instead — the two paths produce
-  // byte-identical logs for the same append sequence.
-  bool dedicated_writer = false;
-  // Number of staging shards (dedicated-writer mode); 0 = auto
-  // (min(8, hardware threads)). Committers hash onto shards by thread.
+  // Number of commit-staging shards; 0 = auto (min(8, hardware threads)).
+  // Committers hash onto shards by thread.
   uint32_t staging_shards = 0;
-  // Adaptive batching window bounds for the dedicated writer (see
-  // wal/batch_policy.h). The writer sleeps the current window after each
-  // wakeup so concurrent committers join the batch; the policy doubles or
-  // halves the window inside [min, max] based on commits-per-batch. The
-  // window's job is convoy assembly — committers released together by the
-  // previous batch re-commit together — so the max should stay well below
-  // the device latency: the fsync itself already accumulates stragglers.
-  // With both 0 the writer never waits (each wakeup seals immediately).
-  uint64_t batch_window_min_micros = 0;
-  uint64_t batch_window_max_micros = 0;
 };
 
 // WAL instruments; see docs/OBSERVABILITY.md for the naming scheme.
@@ -109,10 +93,10 @@ struct LogManagerMetrics {
   // durable (`ivdb_wal_flush_wait_micros`): group commit shows up here as a
   // tight distribution near the device latency.
   obs::Histogram* flush_wait_latency;
-  // Dedicated-writer pipeline: per-sealed-batch record count / byte size /
-  // batching-window width (`ivdb_wal_batch_*`). fsyncs-per-commit is
-  // flushes / committed-txns; batch_records p50/p99 is the direct view of
-  // how much coalescing each fsync buys.
+  // Per-sealed-batch record count / byte size / batching-window width
+  // (`ivdb_wal_batch_*`). fsyncs-per-commit is flushes / committed-txns;
+  // batch_records p50/p99 is the direct view of how much coalescing each
+  // fsync buys.
   obs::Histogram* batch_records;
   obs::Histogram* batch_bytes;
   obs::Histogram* batch_window;
@@ -127,18 +111,21 @@ struct LogManagerMetrics {
 // Append-only write-ahead log with group commit, stored as a sequence of
 // rotating segments.
 //
-// Append() assigns the LSN and buffers the framed record; Flush(lsn) returns
-// once every record up to `lsn` is on stable storage. Concurrent committers
-// batch naturally: the first caller into the flush path writes everything
-// buffered so far (including records appended by transactions that are about
-// to call Flush), and later callers find their LSN already durable.
+// Append() assigns the LSN and stages the framed record in a per-core
+// shard; Flush(lsn) returns once every record up to `lsn` is on stable
+// storage. One dedicated WAL-writer thread, started by the constructor,
+// does all segment I/O: each pass drains every shard, writes the dense LSN
+// prefix as one segment append with one fsync, and only then advances the
+// durable watermark that Flush() waiters park on. Concurrent committers
+// batch naturally — everything staged while a pass is in flight rides the
+// next one.
 //
 // Segmented layout: records live in `wal-<seqno>.log` files; only the
 // highest-seqno segment is open for appends. A flush batch is always written
 // wholly to the open segment, and LSNs are assigned contiguously, so every
 // segment covers a dense LSN range and the global record stream is the
 // segment files concatenated in seqno order. When the open segment crosses
-// the size threshold the leader *seals* it — an unconditional fsync (even
+// the size threshold the writer *seals* it — an unconditional fsync (even
 // under SyncMode::kNone), so a sealed segment can never have a torn tail —
 // and creates the next one. Checkpoints retire sealed segments whose entire
 // LSN range is below the redo horizon (RetireSegmentsBelow) instead of
@@ -160,7 +147,7 @@ class LogManager {
   // resumes LSN allocation after the last record on disk.
   Status Open();
 
-  // Assigns rec->lsn and buffers the record. Thread-safe.
+  // Assigns rec->lsn and stages the record for the writer. Thread-safe.
   Status Append(LogRecord* rec);
 
   // Blocks until all records with lsn <= upto are durable.
@@ -184,10 +171,10 @@ class LogManager {
 
   const LogManagerMetrics& metrics() const { return metrics_; }
 
-  // Flushes everything buffered and seals the open segment (no-op when it
-  // is empty), so the checkpoint that follows starts a fresh segment and
-  // can retire everything before its redo horizon. Blocks behind any
-  // in-flight group-commit leader.
+  // Flushes everything staged and seals the open segment (no-op when it is
+  // empty), so the checkpoint that follows starts a fresh segment and can
+  // retire everything before its redo horizon. Blocks until a writer pass
+  // that started after this call has landed.
   Status RotateNow();
 
   // Deletes sealed segments whose highest LSN is below `lsn` (the
@@ -205,15 +192,6 @@ class LogManager {
   // Live segment count (tools/tests; also exported as `ivdb_wal_segments`).
   size_t SegmentCount() const;
 
-  // Reads the full record stream of the segmented log in `dir`, in LSN
-  // order. Segment decode + CRC checking runs on `threads` workers
-  // (0 = auto, 1 = serial); records are merged in seqno order, so the
-  // result is identical for every thread count. Strictness depends on
-  // position: in a *sealed* (non-newest) segment every frame must be whole
-  // and valid and no trailing bytes may remain — rotation fsyncs before
-  // sealing, so any damage there is real corruption and a hard error. The
-  // *newest* segment tolerates a torn or corrupt tail (the crash case) by
-  // stopping at the last whole record. `env` defaults to Env::Default().
   // Per-segment decode accounting for ReadLog: how many records and bytes
   // each segment contributed and how long its decode + CRC pass took (real
   // time — decode workers are real threads, so there is no Clock seam to
@@ -226,6 +204,15 @@ class LogManager {
     uint64_t micros = 0;
   };
 
+  // Reads the full record stream of the segmented log in `dir`, in LSN
+  // order. Segment decode + CRC checking runs on `threads` workers
+  // (0 = auto, 1 = serial); records are merged in seqno order, so the
+  // result is identical for every thread count. Strictness depends on
+  // position: in a *sealed* (non-newest) segment every frame must be whole
+  // and valid and no trailing bytes may remain — rotation fsyncs before
+  // sealing, so any damage there is real corruption and a hard error. The
+  // *newest* segment tolerates a torn or corrupt tail (the crash case) by
+  // stopping at the last whole record. `env` defaults to Env::Default().
   static Status ReadLog(const std::string& dir,
                         std::vector<LogRecord>* records, Env* env = nullptr,
                         unsigned threads = 1,
@@ -237,8 +224,8 @@ class LogManager {
   // are skipped without being opened (the in-memory manifest knows their
   // LSN ranges), and the open segment is decoded tolerantly (a concurrent
   // append can only expose a prefix, so decoding stops at the last whole
-  // record exactly like recovery's torn-tail case). Records buffered or
-  // staged but not yet written to the file are not seen — callers that
+  // record exactly like recovery's torn-tail case). Records staged but not
+  // yet written to the file are not seen — callers that
   // need the complete tail Flush() first. The caller must hold a retention
   // floor at or below from_lsn (SetRetainLsnFloor) so a concurrent
   // checkpoint cannot retire segments out from under the read.
@@ -264,7 +251,7 @@ class LogManager {
 
   // Sticky degraded state. After an unrecoverable I/O error (failed flush
   // append/sync, failed rotation) the log poisons itself: the durable
-  // prefix of the file may be missing records that are still buffered (or
+  // prefix of the file may be missing records that are still staged (or
   // were dropped by a failed fsync), so writing anything more would leave a
   // gap that recovery could silently replay across. Once poisoned, every
   // Append/Flush/RotateNow returns kUnavailable and no further bytes
@@ -296,24 +283,12 @@ class LogManager {
                                  std::vector<SegmentReadStats>* segment_stats);
 
   // Writes a batch to the open segment (plus fsync / simulated latency).
-  // Called by the leader with no locks held.
+  // Called by the writer thread with no locks held.
   Status WriteBatch(const std::string& batch);
 
-  // One leader pass: claim the buffer, write it, advance the durable
-  // watermark, and rotate if the open segment crossed the threshold (or
-  // `force_rotate`). Requires flush_mu_ held and flusher_active_ false on
-  // entry; on return flusher_active_ is false again and waiters have been
-  // notified. Poisons the log on I/O failure. Exempt from the static
-  // analysis: it drops and retakes flush_mu_ around the I/O, which clang
-  // cannot model through a by-reference guard.
-  Status LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate)
-      IVDB_NO_THREAD_SAFETY_ANALYSIS;
-
   // Seals the open segment (fsync + close), creates the next one, and
-  // updates the manifest. Leader-exclusive (flusher_active_ true or Open).
+  // updates the manifest. Writer-exclusive.
   Status RotateLocked(Lsn seal_end_lsn);
-
-  // --- Dedicated-writer pipeline (options_.dedicated_writer) ---
 
   // Stable per-thread shard pick (hash of thread id onto shards_.size()).
   size_t ShardIndex() const;
@@ -333,19 +308,13 @@ class LogManager {
   // single-threaded workloads' env-op streams deterministic.
   void WriteStagedBatch(bool do_rotate, uint64_t rotate_target);
 
-  // Dedicated-mode halves of the public entry points.
-  Status AppendStaged(LogRecord* rec);
-  Status FlushStaged(Lsn upto);
-  Status RotateNowStaged();
-
   // Writer-thread poison: records the root-cause status and defers the
   // on_poison callback instead of firing it on the writer thread (which has
   // no transaction context). The first committer/checkpointer to observe
   // the poison *claims* both — ClaimPoisonStatusLocked hands it the real
   // I/O status (everyone after gets kUnavailable) and
-  // FirePendingPoisonCallback runs the callback on its thread — mirroring
-  // the serial path, where the group-commit leader both performs the
-  // failing I/O and reports it from its own commit scope.
+  // FirePendingPoisonCallback runs the callback on its thread, so the
+  // failure is reported from the commit scope it aborts.
   void PoisonStagedLocked(Status cause) IVDB_REQUIRES(flush_mu_);
   Status ClaimPoisonStatusLocked() IVDB_REQUIRES(flush_mu_);
   void FirePendingPoisonCallback();
@@ -355,53 +324,14 @@ class LogManager {
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   LogManagerMetrics metrics_;
   Clock* clock_ = nullptr;  // options_.clock resolved against Clock::Default()
-  std::unique_ptr<WritableFile> file_;  // the open (newest) segment
+  // The open (newest) segment; touched only by Open and the writer thread.
+  std::unique_ptr<WritableFile> file_;
 
-  RankedMutex buf_mu_{LockRank::kWalBuffer, "buf_mu_"};
-  std::string buffer_ IVDB_GUARDED_BY(buf_mu_);
-  // Highest LSN fully contained in buffer_ + file.
-  Lsn buffered_upto_ IVDB_GUARDED_BY(buf_mu_) = 0;
-
-  // Leader/follower group commit: at most one leader performs I/O at a
-  // time; followers wait on flush_cv_. Everything the leader finds buffered
-  // when it swaps rides its batch, and work that arrives during its I/O is
-  // picked up by the next leader immediately after.
+  // Flush waiters park on flush_cv_ until the durable watermark covers
+  // them; the writer parks on writer_cv_ until work is requested. Both
+  // ride flush_mu_, which also guards the request flags below.
   RankedMutex flush_mu_{LockRank::kWalFlush, "flush_mu_"};
   CondVar flush_cv_;
-  bool flusher_active_ IVDB_GUARDED_BY(flush_mu_) = false;
-
-  // Live-segment manifest, ascending seqno; back() is the open segment.
-  // Only its *bookkeeping* is guarded by seg_mu_ — the file handle and the
-  // bytes of the open segment are leader-exclusive.
-  mutable RankedMutex seg_mu_{LockRank::kWalSegments, "seg_mu_"};
-  std::vector<Segment> segments_ IVDB_GUARDED_BY(seg_mu_);
-
-  std::atomic<Lsn> next_lsn_{1};
-  std::atomic<Lsn> flushed_lsn_{0};
-  // Online-build retention floor (see SetRetainLsnFloor); 0 = none.
-  std::atomic<Lsn> retain_floor_{0};
-  std::atomic<uint64_t> appended_bytes_{0};
-  std::atomic<uint64_t> last_batch_fsync_micros_{0};
-  std::atomic<bool> poisoned_{false};
-  obs::FlightRecorder* flight_ = nullptr;  // options_.flight
-
-  // --- Dedicated-writer pipeline state (unused in serial mode) ---
-
-  // One commit-staging shard. Committers hash onto shards by thread; the
-  // LSN is drawn *inside* the shard mutex so each shard's staged frames are
-  // internally LSN-ordered, and the writer's merge across shards is a dense
-  // stream except for committers caught mid-append elsewhere. alignas keeps
-  // independent committers off each other's cache line.
-  struct alignas(64) StagingShard {
-    RankedMutex wal_shard_mu_{LockRank::kWalShard, "wal_shard_mu_"};
-    // Framed records ([len][crc][body]) staged and not yet drained.
-    std::vector<std::pair<Lsn, std::string>> staged
-        IVDB_GUARDED_BY(wal_shard_mu_);
-  };
-  std::vector<std::unique_ptr<StagingShard>> shards_;
-
-  // Writer parking + request flags ride the existing flush_mu_ (rank 50);
-  // flush_cv_ doubles as the "durable watermark advanced" broadcast.
   CondVar writer_cv_;
   bool writer_stop_ IVDB_GUARDED_BY(flush_mu_) = false;
   bool work_requested_ IVDB_GUARDED_BY(flush_mu_) = false;
@@ -416,20 +346,48 @@ class LogManager {
 
   // Root cause of a writer-thread poison and whether a waiter has already
   // claimed it (see PoisonStagedLocked). The callback flag is atomic so
-  // AppendStaged can claim it without touching flush_mu_.
+  // Append can claim it without touching flush_mu_.
   Status staged_error_ IVDB_GUARDED_BY(flush_mu_);
   bool staged_error_claimed_ IVDB_GUARDED_BY(flush_mu_) = false;
   std::atomic<bool> poison_callback_pending_{false};
 
-  // Committers currently inside FlushStaged() — the writer reads this as
-  // the "commit waiters served" signal for the adaptive batch policy.
+  // Live-segment manifest, ascending seqno; back() is the open segment.
+  // Only its *bookkeeping* is guarded by seg_mu_ — the file handle and the
+  // bytes of the open segment are writer-exclusive.
+  mutable RankedMutex seg_mu_{LockRank::kWalSegments, "seg_mu_"};
+  std::vector<Segment> segments_ IVDB_GUARDED_BY(seg_mu_);
+
+  std::atomic<Lsn> next_lsn_{1};
+  std::atomic<Lsn> flushed_lsn_{0};
+  // Online-build retention floor (see SetRetainLsnFloor); 0 = none.
+  std::atomic<Lsn> retain_floor_{0};
+  std::atomic<uint64_t> appended_bytes_{0};
+  std::atomic<uint64_t> last_batch_fsync_micros_{0};
+  std::atomic<bool> poisoned_{false};
+  obs::FlightRecorder* flight_ = nullptr;  // options_.flight
+
+  // One commit-staging shard. Committers hash onto shards by thread; the
+  // LSN is drawn *inside* the shard mutex so each shard's staged frames are
+  // internally LSN-ordered, and the writer's merge across shards is a dense
+  // stream except for committers caught mid-append elsewhere. alignas keeps
+  // independent committers off each other's cache line.
+  struct alignas(64) StagingShard {
+    RankedMutex wal_shard_mu_{LockRank::kWalShard, "wal_shard_mu_"};
+    // Framed records ([len][crc][body]) staged and not yet drained.
+    std::vector<std::pair<Lsn, std::string>> staged
+        IVDB_GUARDED_BY(wal_shard_mu_);
+  };
+  std::vector<std::unique_ptr<StagingShard>> shards_;
+
+  // Committers currently inside Flush() — the writer reads this as the
+  // "commit waiters served" signal for the adaptive batch policy.
   std::atomic<uint32_t> flush_waiters_{0};
 
   // Writer-thread-private: frames drained from shards but not yet written
-  // because of a head-of-line LSN gap, keyed by LSN. No lock — only the
-  // writer thread touches it.
+  // because of a head-of-line LSN gap, keyed by LSN, and the batching
+  // window. No lock — only the writer thread touches them.
   std::map<Lsn, std::string> pending_frames_;
-  AdaptiveBatchPolicy policy_{0, 0};
+  AdaptiveBatchPolicy policy_;
 
   std::thread writer_;
 };

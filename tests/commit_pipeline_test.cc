@@ -1,11 +1,12 @@
 // Parallel group-commit pipeline (docs/INTERNALS.md, "Commit pipeline").
 //
-// Covers every new batching boundary the dedicated WAL-writer introduces:
+// Covers every batching boundary of the dedicated WAL writer:
 //   * adaptive batch-size convergence (pure policy state machine);
-//   * pipelined vs serial log byte-equality for one append sequence;
-//   * leader/follower flush joining — a returned Flush() implies the
-//     durable watermark covers the caller, and concurrent committers
-//     coalesce into fewer fsyncs than commits;
+//   * segment bytes independent of the staging-shard count for one append
+//     sequence;
+//   * flush joining — a returned Flush() implies the durable watermark
+//     covers the caller, and concurrent committers coalesce into fewer
+//     fsyncs than commits;
 //   * deterministic pipeline operation under ManualClock (the batching
 //     window sleeps in virtual time, so nothing stalls or races the clock);
 //   * commit-visibility flips strictly in COMMIT-LSN order (observable as
@@ -113,21 +114,20 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// The two commit paths are interchangeable at the byte level: one append
-// sequence produces the same segment files whether records travel through
-// the inline leader/follower path or the staged writer. (This is what lets
-// crash-recovery coverage of one path speak for the other.)
-TEST_F(CommitPipelineWalTest, PipelinedAndSerialLogsAreByteIdentical) {
-  const std::string serial_dir = dir_ + "/serial";
-  const std::string staged_dir = dir_ + "/staged";
-  for (bool dedicated : {false, true}) {
-    const std::string& d = dedicated ? staged_dir : serial_dir;
+// Segment bytes do not depend on how appends were staged and batched: one
+// append/flush/rotate script produces the same segment files whether the
+// writer drains one staging shard or four. (This is what lets
+// crash-recovery coverage at one shard count speak for the others.)
+TEST_F(CommitPipelineWalTest, SegmentBytesDoNotDependOnStagingShards) {
+  const std::string one_dir = dir_ + "/one-shard";
+  const std::string four_dir = dir_ + "/four-shards";
+  for (uint32_t shards : {1u, 4u}) {
+    const std::string& d = shards == 1 ? one_dir : four_dir;
     std::filesystem::create_directories(d);
     LogManagerOptions options;
     options.dir = d;
     options.segment_bytes = 512;  // several rotations over the run
-    options.dedicated_writer = dedicated;
-    options.staging_shards = 4;
+    options.staging_shards = shards;
     LogManager log(options);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 40; i++) {
@@ -144,20 +144,20 @@ TEST_F(CommitPipelineWalTest, PipelinedAndSerialLogsAreByteIdentical) {
     ASSERT_TRUE(log.Flush(log.last_lsn()).ok());
   }
 
-  auto serial_files = LogManager::ListSegmentFiles(serial_dir);
-  auto staged_files = LogManager::ListSegmentFiles(staged_dir);
-  ASSERT_TRUE(serial_files.ok());
-  ASSERT_TRUE(staged_files.ok());
-  ASSERT_EQ(serial_files.value(), staged_files.value());
-  ASSERT_GT(serial_files.value().size(), 1u) << "rotation never triggered";
-  for (const std::string& name : serial_files.value()) {
-    EXPECT_EQ(ReadFileBytes(serial_dir + "/" + name),
-              ReadFileBytes(staged_dir + "/" + name))
-        << name << " diverges between the serial and pipelined paths";
+  auto one_files = LogManager::ListSegmentFiles(one_dir);
+  auto four_files = LogManager::ListSegmentFiles(four_dir);
+  ASSERT_TRUE(one_files.ok());
+  ASSERT_TRUE(four_files.ok());
+  ASSERT_EQ(one_files.value(), four_files.value());
+  ASSERT_GT(one_files.value().size(), 1u) << "rotation never triggered";
+  for (const std::string& name : one_files.value()) {
+    EXPECT_EQ(ReadFileBytes(one_dir + "/" + name),
+              ReadFileBytes(four_dir + "/" + name))
+        << name << " diverges between 1 and 4 staging shards";
   }
 }
 
-// Leader/follower joining: every returned Flush() implies the durable
+// Flush joining: every returned Flush() implies the durable
 // watermark covers the caller's LSN, the final log is the dense
 // concatenation of every thread's records, and concurrent committers share
 // fsyncs (flush batches served more than one record each on average).
@@ -167,10 +167,8 @@ TEST_F(CommitPipelineWalTest, ConcurrentCommittersJoinBatchesCorrectly) {
   LogManagerOptions options;
   options.dir = dir_;
   options.sync = SyncMode::kFsync;
-  options.dedicated_writer = true;
   options.staging_shards = 4;
-  options.batch_window_min_micros = 32;
-  options.batch_window_max_micros = 512;
+  options.group_commit_window_micros = 32;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
 
@@ -224,10 +222,8 @@ TEST_F(CommitPipelineWalTest, ManualClockRunsTheWindowInVirtualTime) {
   ManualClock clock(1000);
   LogManagerOptions options;
   options.dir = dir_;
-  options.dedicated_writer = true;
   options.staging_shards = 2;
-  options.batch_window_min_micros = 50000;  // intolerable if slept for real
-  options.batch_window_max_micros = 50000;
+  options.group_commit_window_micros = 50000;  // intolerable if slept for real
   options.clock = &clock;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
@@ -250,13 +246,11 @@ TEST_F(CommitPipelineWalTest, ManualClockRunsTheWindowInVirtualTime) {
 
 class CommitPipelineDbTest : public DurableDbTest {
  protected:
-  std::unique_ptr<Database> OpenPipelineDb(Env* env, SyncMode sync,
-                                           bool pipeline) {
+  std::unique_ptr<Database> OpenPipelineDb(Env* env, SyncMode sync) {
     DatabaseOptions options;
     options.dir = dir_;
     options.sync = sync;
     options.env = env;
-    options.commit_pipeline = pipeline;
     auto result = Database::Open(options);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -273,7 +267,7 @@ TEST_F(CommitPipelineDbTest, FlipOrderMatchesCommitLsnOrder) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20;
   {
-    auto db = OpenPipelineDb(nullptr, SyncMode::kNone, /*pipeline=*/true);
+    auto db = OpenPipelineDb(nullptr, SyncMode::kNone);
     ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
@@ -312,7 +306,7 @@ TEST_F(CommitPipelineDbTest, FlipOrderMatchesCommitLsnOrder) {
   EXPECT_EQ(user_commits, kThreads * kPerThread);
 
   // Every acknowledged commit is durable and visible after recovery.
-  auto db = OpenPipelineDb(nullptr, SyncMode::kNone, /*pipeline=*/true);
+  auto db = OpenPipelineDb(nullptr, SyncMode::kNone);
   Transaction* reader = db->Begin();
   auto rows = db->ScanTable(reader, "sales");
   ASSERT_TRUE(rows.ok());
@@ -327,7 +321,7 @@ TEST_F(CommitPipelineDbTest, FlipOrderMatchesCommitLsnOrder) {
 TEST_F(CommitPipelineDbTest, FailedBatchFsyncRollsBackEveryTxnInBatch) {
   constexpr int kCommitters = 4;
   FaultInjectionEnv env(42);
-  auto db = OpenPipelineDb(&env, SyncMode::kFsync, /*pipeline=*/true);
+  auto db = OpenPipelineDb(&env, SyncMode::kFsync);
   ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
 
   Transaction* acked = db->Begin();
@@ -377,27 +371,6 @@ TEST_F(CommitPipelineDbTest, FailedBatchFsyncRollsBackEveryTxnInBatch) {
         << "rolled-back row " << 1 + i << " leaked into a snapshot";
   }
   ASSERT_TRUE(db->Commit(reader.value()).ok());
-}
-
-// The serial fallback stays wired up: commit_pipeline = false runs the
-// inline leader/follower path end to end (recovery included).
-TEST_F(CommitPipelineDbTest, SerialFallbackCommitsAndRecovers) {
-  {
-    auto db = OpenPipelineDb(nullptr, SyncMode::kNone, /*pipeline=*/false);
-    ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
-    for (int i = 0; i < 20; i++) {
-      Transaction* txn = db->Begin();
-      ASSERT_TRUE(db->Insert(txn, "sales", Sale(i, "eu", 1.0)).ok());
-      ASSERT_TRUE(db->Commit(txn).ok());
-      db->Forget(txn);
-    }
-  }
-  auto db = OpenPipelineDb(nullptr, SyncMode::kNone, /*pipeline=*/false);
-  Transaction* reader = db->Begin();
-  auto rows = db->ScanTable(reader, "sales");
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 20u);
-  ASSERT_TRUE(db->Commit(reader).ok());
 }
 
 }  // namespace

@@ -410,17 +410,17 @@ TEST(CrashTorture, DegradedModeEverySyncBoundarySweep) {
 
 // --- Batched-commit crash sweep (parallel group-commit pipeline) ----------
 //
-// The dedicated-writer WAL coalesces several transactions' records into ONE
-// segment append with ONE fsync. That introduces new env-op boundaries: a
-// crash can now land between staging and the batch append, inside the batch
-// append, between the append and its fsync, or inside a rotation that a
-// batched pass performed. The sweep below scripts a deterministic
-// multi-transaction batch workload directly against a pipelined LogManager
-// (single driver thread, so the env-op stream is exactly reproducible),
-// crashes at every boundary, and checks the group-commit durability
-// contract after recovery: the surviving record stream is a dense LSN
-// prefix (a batch can tear only at its tail, never leave a hole), and it
-// covers every LSN whose Flush() was acknowledged before the crash.
+// The WAL writer coalesces several transactions' records into ONE segment
+// append with ONE fsync, so a crash can land between staging and the batch
+// append, inside the batch append, between the append and its fsync, or
+// inside a rotation that a batched pass performed. The sweep below scripts
+// a deterministic multi-transaction batch workload directly against a
+// LogManager (single driver thread, so the env-op stream is exactly
+// reproducible), crashes at every boundary, and checks the group-commit
+// durability contract after recovery: the surviving record stream is a
+// dense LSN prefix (a batch can tear only at its tail, never leave a
+// hole), and it covers every LSN whose Flush() was acknowledged before the
+// crash.
 
 struct BatchScriptResult {
   Lsn acked = 0;      // highest LSN whose Flush() returned OK
@@ -440,7 +440,6 @@ void RunBatchScript(const std::string& dir, Env* env,
   options.env = env;
   options.sync = SyncMode::kFsync;
   options.segment_bytes = 1024;
-  options.dedicated_writer = true;
   options.staging_shards = 2;
   LogManager log(options);
   if (!log.Open().ok()) return;

@@ -13,10 +13,10 @@ namespace ivdb {
 namespace lint_fixture {
 
 RankedMutex lock_side_mu_{LockRank::kLockManager, "lock_side_mu_"};
-RankedMutex wal_side_mu_{LockRank::kWalBuffer, "wal_side_mu_"};
+RankedMutex wal_side_mu_{LockRank::kWalShard, "wal_side_mu_"};
 
 void AcquireAgainstDeclaredOrder() {
-  MutexLock outer(&wal_side_mu_);   // rank 60
+  MutexLock outer(&wal_side_mu_);   // rank 58
   MutexLock inner(&lock_side_mu_);  // rank 30: inversion
 }
 

@@ -28,7 +28,7 @@ TEST_F(LockOrderTest, OrderedAcquisitionPasses) {
     EXPECT_EQ(LockOrderDepth(), 1);
     {
       LockOrderScope vs(LockRank::kVersionStore, "version_store_mu_");
-      LockOrderScope wal(LockRank::kWalBuffer, "buf_mu_");
+      LockOrderScope wal(LockRank::kWalShard, "wal_shard_mu_");
       EXPECT_EQ(LockOrderDepth(), 3);
     }
     EXPECT_EQ(LockOrderDepth(), 1);
@@ -38,7 +38,7 @@ TEST_F(LockOrderTest, OrderedAcquisitionPasses) {
 
 TEST_F(LockOrderTest, ReacquisitionAfterReleasePasses) {
   // Sequential (non-nested) use of every rank in any order is legal.
-  for (LockRank rank : {LockRank::kWalBuffer, LockRank::kTxnActive,
+  for (LockRank rank : {LockRank::kWalShard, LockRank::kTxnActive,
                         LockRank::kCatalog, LockRank::kLockManager}) {
     LockOrderScope scope(rank, "sequential");
     EXPECT_EQ(LockOrderDepth(), 1);
@@ -57,11 +57,12 @@ TEST_F(LockOrderTest, NonLifoReleaseIsTracked) {
 }
 
 TEST_F(LockOrderTest, OutOfOrderAcquisitionAborts) {
-  // Seeded violation: taking the lock-manager mutex while holding the WAL
-  // buffer mutex inverts the documented order and must abort with a report.
+  // Seeded violation: taking the lock-manager mutex while holding a WAL
+  // staging-shard mutex inverts the documented order and must abort with a
+  // report.
   EXPECT_DEATH(
       {
-        LockOrderScope wal(LockRank::kWalBuffer, "buf_mu_");
+        LockOrderScope wal(LockRank::kWalShard, "wal_shard_mu_");
         LockOrderScope lock(LockRank::kLockManager, "lock_manager_mu_");
       },
       "lock-order violation");

@@ -244,83 +244,6 @@ TEST_P(RecoveryEquivalenceTest, SerialAndParallelReplayAgree) {
   }
 }
 
-// Pipelined vs serial commit equivalence: one seeded workload, run to
-// completion twice — once through the dedicated-writer commit pipeline,
-// once through the inline serial leader/follower path. The two commit paths
-// promise byte-compatible logs; with a single-threaded driver there is no
-// batching reorder at all (concurrent committers may legitimately interleave
-// their records differently between the paths — that documented reorder is
-// exactly what FlipOrderMatchesCommitLsnOrder in commit_pipeline_test
-// bounds), so here the decoded streams must be byte-identical, and the two
-// recovered engines indistinguishable for old state and new work alike.
-TEST(CommitPathEquivalence, PipelinedAndSerialRunsRecoverIdentically) {
-  const uint64_t seed = 0x5E71AL;
-  ScopedTempDir serial_dir("commit_equiv_serial");
-  ScopedTempDir pipelined_dir("commit_equiv_pipelined");
-
-  for (bool pipelined : {false, true}) {
-    DatabaseOptions options;
-    options.dir = pipelined ? pipelined_dir.path() : serial_dir.path();
-    options.sync = SyncMode::kFsync;
-    options.wal_segment_bytes = 1024;
-    options.commit_pipeline = pipelined;
-    auto opened = Database::Open(options);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    auto db = std::move(opened).value();
-    ASSERT_TRUE(CrashWorkload(db.get(), seed).ok());
-    if (pipelined) {
-      // Guard against silently testing the fallback: the pipelined run
-      // must have sealed its commits through writer batches.
-      EXPECT_GT(db->log_metrics().batch_records->Snap().count, 0u);
-    }
-  }
-
-  // The decoded record streams must match byte for byte.
-  std::vector<LogRecord> serial_records;
-  std::vector<LogRecord> pipelined_records;
-  ASSERT_TRUE(
-      LogManager::ReadLog(serial_dir.path(), &serial_records).ok());
-  ASSERT_TRUE(
-      LogManager::ReadLog(pipelined_dir.path(), &pipelined_records).ok());
-  ASSERT_EQ(serial_records.size(), pipelined_records.size());
-  for (size_t i = 0; i < serial_records.size(); i++) {
-    std::string a, b;
-    serial_records[i].EncodeTo(&a);
-    pipelined_records[i].EncodeTo(&b);
-    ASSERT_EQ(a, b) << "record " << i << " diverges: "
-                    << serial_records[i].ToString() << " vs "
-                    << pipelined_records[i].ToString();
-  }
-
-  // Both directories recover to identical observable state and accept
-  // identical new work identically.
-  DatabaseOptions serial_options;
-  serial_options.dir = serial_dir.path();
-  auto serial = Database::Open(serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  DatabaseOptions pipelined_options;
-  pipelined_options.dir = pipelined_dir.path();
-  auto pipelined = Database::Open(pipelined_options);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-
-  EXPECT_EQ(CaptureState(serial.value().get()),
-            CaptureState(pipelined.value().get()));
-  VerifySurvivingViews(serial.value().get());
-  VerifySurvivingViews(pipelined.value().get());
-
-  for (Database* db : {serial.value().get(), pipelined.value().get()}) {
-    Transaction* txn = db->Begin();
-    ASSERT_TRUE(db->Insert(txn, "sales",
-                           {Value::Int64(100000), Value::Int64(1),
-                            Value::String("eu"), Value::Int64(7),
-                            Value::Double(1.25)})
-                    .ok());
-    ASSERT_TRUE(db->Commit(txn).ok());
-  }
-  EXPECT_EQ(CaptureState(serial.value().get()),
-            CaptureState(pipelined.value().get()));
-}
-
 // Mid-run online build: the frozen WAL now contains kViewBuildStart, the
 // flip transaction's records, and kViewBuildCommit — possibly torn at any
 // of them. Serial and parallel replay must still agree bit for bit on the

@@ -365,8 +365,8 @@ void CheckAdhocRetry(const std::string& path, const std::string& stripped,
   // Sleeping inside engine code is how ad-hoc retry loops sneak in (sleep,
   // re-check, repeat) — invisible to ManualClock tests and uncoordinated
   // with the engine-wide retry policy. Only the designated waiting
-  // primitives (allowlisted: the Clock seam itself, the WAL's simulated
-  // flush latency, the ghost cleaner's interval pacing) may sleep.
+  // primitives (allowlisted: the Clock seam itself and the ghost cleaner's
+  // interval pacing) may sleep.
   if (path.rfind("src/", 0) != 0) return;
   static const std::regex re(
       R"((\bstd\s*::\s*this_thread\s*::\s*sleep_(for|until)\b|\b(usleep|nanosleep)\s*\())");
