@@ -30,6 +30,8 @@
 //                                      (never nested with another entry)
 //   VersionStore::pending_mu_   (37)   txn -> dirty-chain-key bookkeeping
 //   EpochReclaimer::retire_mu_  (38)   deferred-free retire pile
+//   VersionStore::version_scan_mu_ (39) snapshot-scan chunk (shared) vs
+//                                      Abort's unlinks (exclusive)
 //   VersionStore::version_stripe_mu_ (40) one version-chain stripe (never
 //                                      nested with another stripe)
 //   BTree::latch_               (45)   per-tree structural latch
@@ -50,7 +52,9 @@
 // ApplyIncrement holds a version stripe (40) while staging the INCREMENT
 // record (58); the WAL writer holds flush_mu_ (50) while updating the
 // segment manifest (55); snapshot reads hold a version stripe (40) while
-// probing the physical tree (45).
+// probing the physical tree (45); a snapshot-scan chunk holds
+// version_scan_mu_ (39) while copying leaf entries (45) and then listing
+// the version stripes (40) one at a time.
 //
 // Striping note: the lock-table stripes all share rank 30, the version-chain
 // stripes rank 40, the WAL staging shards rank 58, the epoch reader slots
@@ -97,6 +101,7 @@ enum class LockRank : int {
   kScanCache = 33,
   kVersionPending = 37,
   kVersionRetire = 38,
+  kVersionScan = 39,
   kVersionStore = 40,
   kBtreeLatch = 45,
   kWalFlush = 50,

@@ -965,17 +965,11 @@ Result<std::optional<Row>> Database::ReadRow(Transaction* txn,
       std::optional<std::string> physical;
       VersionStore::SnapshotView view = versions_.GetAsOfConsistent(
           object_id, key, txn->begin_ts(), tree, &physical);
-      std::optional<std::string> base =
-          view.use_chain_value ? view.chain_value : std::move(physical);
+      const std::optional<std::string>& base =
+          view.use_chain_value ? view.chain_value : physical;
       if (!base.has_value()) return std::optional<Row>();
       Row row;
-      IVDB_RETURN_NOT_OK(DecodeRow(*base, &row));
-      // Strip increments the snapshot must not see.
-      for (const auto& deltas : view.subtract) {
-        for (const ColumnDelta& d : deltas) {
-          IVDB_RETURN_NOT_OK(row[d.column].AccumulateAdd(d.delta.Negated()));
-        }
-      }
+      IVDB_RETURN_NOT_OK(DecodeVisibleRow(*base, view.subtract, &row));
       return std::optional<Row>(std::move(row));
     }
   }
@@ -1102,18 +1096,12 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
             std::optional<std::string> physical;
             VersionStore::SnapshotView view = versions_.GetAsOfConsistent(
                 object_id, sk.key, txn->begin_ts(), tree, &physical);
-            std::optional<std::string> value =
-                view.use_chain_value ? view.chain_value : std::move(physical);
+            const std::optional<std::string>& value =
+                view.use_chain_value ? view.chain_value : physical;
             bool present = value.has_value();
             Row row;
             if (present) {
-              IVDB_RETURN_NOT_OK(DecodeRow(*value, &row));
-              for (const auto& deltas : view.subtract) {
-                for (const ColumnDelta& d : deltas) {
-                  IVDB_RETURN_NOT_OK(
-                      row[d.column].AccumulateAdd(d.delta.Negated()));
-                }
-              }
+              IVDB_RETURN_NOT_OK(DecodeVisibleRow(*value, view.subtract, &row));
             }
             scan_cache_.Resolve(object_id, sk.key, sk.token, present, row);
             if (present) cached[sk.key] = std::move(row);
@@ -1125,37 +1113,15 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
           return out;
         }
       }
-      // Candidate keys: everything physically present plus keys only the
-      // version store still knows about (deleted after our snapshot). Keys
-      // that appear after this collection cannot be visible at our
-      // timestamp, so missing them is correct.
-      std::set<std::string> keys;
-      tree->Scan(begin, end_ptr, [&keys](const Slice& key, const Slice&) {
-        keys.insert(key.ToString());
-        return true;
-      });
-      for (std::string& key : versions_.ListChainKeys(object_id)) {
-        if (key < begin) continue;
-        if (end != nullptr && !(key < *end)) continue;
-        keys.insert(std::move(key));
-      }
-      for (const std::string& key : keys) {
-        std::optional<std::string> physical;
-        VersionStore::SnapshotView view = versions_.GetAsOfConsistent(
-            object_id, key, txn->begin_ts(), tree, &physical);
-        std::optional<std::string> value =
-            view.use_chain_value ? view.chain_value : std::move(physical);
-        if (!value.has_value()) continue;
-        Row row;
-        IVDB_RETURN_NOT_OK(DecodeRow(*value, &row));
-        for (const auto& deltas : view.subtract) {
-          for (const ColumnDelta& d : deltas) {
-            IVDB_RETURN_NOT_OK(
-                row[d.column].AccumulateAdd(d.delta.Negated()));
-          }
-        }
-        out.emplace_back(key, std::move(row));
-      }
+      IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
+          object_id, tree, begin, end_ptr, txn->begin_ts(),
+          [&out](const std::string& key, const std::string& value,
+                 const std::vector<std::vector<ColumnDelta>>& subtract) {
+            Row row;
+            IVDB_RETURN_NOT_OK(DecodeVisibleRow(value, subtract, &row));
+            out.emplace_back(key, std::move(row));
+            return Status::OK();
+          }));
       // First full scan of a cacheable object populates the cache (first
       // publish wins; concurrent scanners race benignly).
       if (cacheable) scan_cache_.Publish(object_id, txn->begin_ts(), out);
@@ -1323,47 +1289,39 @@ Result<Database::ViewRowBounds> Database::GetViewRowBounds(
 
 Status Database::FlushWal() { return log_->Flush(log_->last_lsn()); }
 
-// One index's contents as of `as_of_ts`, via the same MVCC resolution the
-// kSnapshot scan path uses: candidate keys from the physical tree plus keys
-// only the version store still knows about, each resolved with
-// GetAsOfConsistent and stripped of unflipped transactions' pending deltas.
-// No ghost filtering — increment redo is not idempotent and replays against
-// these base rows. Rows without pending deltas are copied without a
-// decode/re-encode round trip, so non-Row payloads (secondary-index
-// entries) pass through byte-identical.
+// One index's contents as of `as_of_ts`, via the snapshot scan the
+// kSnapshot read path uses, written straight into the BTree::SerializeTo
+// format (varint64 entry count, then each key and value length-prefixed,
+// in key order). No ghost filtering — increment redo is not idempotent and
+// replays against these base rows. Rows without deltas to strip are copied
+// without a decode/re-encode round trip, so non-Row payloads
+// (secondary-index entries) pass through byte-identical.
 Status Database::BuildIndexImage(ObjectId object_id, uint64_t as_of_ts,
                                  std::string* payload) {
   BTree* tree = GetIndex(object_id);
   if (tree == nullptr) return Status::OK();
-  std::set<std::string> keys;
-  tree->Scan("", nullptr, [&keys](const Slice& key, const Slice&) {
-    keys.insert(key.ToString());
-    return true;
-  });
-  for (std::string& key : versions_.ListChainKeys(object_id)) {
-    keys.insert(std::move(key));
-  }
-  BTree image_tree;
-  for (const std::string& key : keys) {
-    std::optional<std::string> physical;
-    VersionStore::SnapshotView view = versions_.GetAsOfConsistent(
-        object_id, key, as_of_ts, tree, &physical);
-    std::optional<std::string> value =
-        view.use_chain_value ? view.chain_value : std::move(physical);
-    if (!value.has_value()) continue;
-    if (!view.subtract.empty()) {
-      Row row;
-      IVDB_RETURN_NOT_OK(DecodeRow(*value, &row));
-      for (const auto& deltas : view.subtract) {
-        for (const ColumnDelta& d : deltas) {
-          IVDB_RETURN_NOT_OK(row[d.column].AccumulateAdd(d.delta.Negated()));
+  // Entries go straight into *payload; the count, known only at the end,
+  // is then inserted in front of them (one move, no second buffer).
+  const size_t start = payload->size();
+  uint64_t count = 0;
+  IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
+      object_id, tree, "", nullptr, as_of_ts,
+      [&](const std::string& key, const std::string& value,
+          const std::vector<std::vector<ColumnDelta>>& subtract) {
+        count++;
+        PutLengthPrefixed(payload, key);
+        if (subtract.empty()) {
+          PutLengthPrefixed(payload, value);
+          return Status::OK();
         }
-      }
-      value = EncodeRow(row);
-    }
-    image_tree.Put(key, *value);
-  }
-  image_tree.SerializeTo(payload);
+        Row row;
+        IVDB_RETURN_NOT_OK(DecodeVisibleRow(value, subtract, &row));
+        PutLengthPrefixed(payload, EncodeRow(row));
+        return Status::OK();
+      }));
+  std::string count_prefix;
+  PutVarint64(&count_prefix, count);
+  payload->insert(start, count_prefix);
   return Status::OK();
 }
 

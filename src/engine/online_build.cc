@@ -57,8 +57,11 @@ constexpr uint64_t kMaxCatchUpRounds = 64;
 // catch-up rounds and tries the flip barrier.
 constexpr uint64_t kCatchUpThresholdBytes = 64 * 1024;
 
+// Rows the snapshot scan hands the offline maintainer per apply batch.
+constexpr size_t kBuildBatchRows = 256;
+
 // Builder pacing: the background build cedes the CPU for this long after
-// every scan chunk, apply batch, and catch-up round, so foreground commits
+// every scan apply batch and catch-up round, so foreground commits
 // are never starved behind a long builder CPU burst (the build is one
 // thread, but on small machines an unpaced scan of a large table
 // monopolizes a core and inflates writer tail latency). The flip barrier's
@@ -119,39 +122,10 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
   if (tree == nullptr) {
     return Status::Corruption("fact table index missing for online build");
   }
-  // Key universe: physical keys plus keys with only version-chain history
-  // (same enumeration as the checkpoint image builder). The physical pass
-  // runs in bounded chunks, re-entering the tree at the last key seen:
-  // BTree::Scan holds the tree latch for its whole walk, and a single
-  // full-table hold would stall every writer Put for the duration. The key
-  // set being fuzzy across chunks is fine — each key is still read as of
-  // capture_ts, keys born after capture read as absent, and a key that
-  // vanishes between chunks only does so via a post-capture delete, whose
-  // version chain (pinned above capture_ts by the build's reader) puts it
-  // back in the set below.
-  std::set<std::string> keys;
-  constexpr size_t kScanChunkKeys = 512;
-  std::string cursor;
-  bool more = true;
-  while (more) {
-    more = false;
-    size_t in_chunk = 0;
-    tree->Scan(cursor, nullptr, [&](const Slice& key, const Slice&) {
-      keys.insert(key.ToString());
-      if (++in_chunk >= kScanChunkKeys) {
-        cursor.assign(key.data(), key.size());
-        cursor.push_back('\0');  // resume at the successor
-        more = true;
-        return false;
-      }
-      return true;
-    });
-    if (more) clock_->SleepMicros(kBuildPaceMicros);
-  }
-  for (std::string& key : versions_.ListChainKeys(ctx->fact->id)) {
-    keys.insert(std::move(key));
-  }
-
+  // Every row as of capture_ts (the build's reader pins the version-store
+  // GC horizon there). The snapshot scan holds the tree latch one short
+  // chunk at a time, so writers keep committing; each batch of rows is
+  // applied to the offline state and then paced.
   std::vector<DeferredChange> batch;
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
@@ -160,28 +134,17 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
     clock_->SleepMicros(kBuildPaceMicros);
     return s;
   };
-  for (const std::string& key : keys) {
-    std::optional<std::string> physical;
-    VersionStore::SnapshotView view = versions_.GetAsOfConsistent(
-        ctx->fact->id, key, ctx->cap.capture_ts, tree, &physical);
-    std::optional<std::string> value =
-        view.use_chain_value ? view.chain_value : std::move(physical);
-    if (!value.has_value()) continue;
-    DeferredChange change;
-    change.table_id = ctx->fact->id;
-    change.op = DeferredChange::Op::kInsert;
-    IVDB_RETURN_NOT_OK(DecodeRow(*value, &change.new_row));
-    if (!view.subtract.empty()) {
-      for (const auto& deltas : view.subtract) {
-        for (const ColumnDelta& d : deltas) {
-          IVDB_RETURN_NOT_OK(
-              change.new_row[d.column].AccumulateAdd(d.delta.Negated()));
-        }
-      }
-    }
-    batch.push_back(std::move(change));
-    if (batch.size() >= 256) IVDB_RETURN_NOT_OK(flush_batch());
-  }
+  IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
+      ctx->fact->id, tree, "", nullptr, ctx->cap.capture_ts,
+      [&](const std::string&, const std::string& value,
+          const std::vector<std::vector<ColumnDelta>>& subtract) {
+        DeferredChange change;
+        change.table_id = ctx->fact->id;
+        change.op = DeferredChange::Op::kInsert;
+        IVDB_RETURN_NOT_OK(DecodeVisibleRow(value, subtract, &change.new_row));
+        batch.push_back(std::move(change));
+        return batch.size() >= kBuildBatchRows ? flush_batch() : Status::OK();
+      }));
   return flush_batch();
 }
 

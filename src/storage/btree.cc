@@ -328,11 +328,12 @@ void BTree::Scan(const Slice& begin, const Slice* end,
 }
 
 std::vector<std::pair<std::string, std::string>> BTree::ScanRange(
-    const Slice& begin, const Slice* end) const {
+    const Slice& begin, const Slice* end, size_t limit) const {
   std::vector<std::pair<std::string, std::string>> out;
-  Scan(begin, end, [&out](const Slice& k, const Slice& v) {
+  if (limit == 0) return out;
+  Scan(begin, end, [&out, limit](const Slice& k, const Slice& v) {
     out.emplace_back(k.ToString(), v.ToString());
-    return true;
+    return out.size() < limit;
   });
   return out;
 }

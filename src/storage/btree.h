@@ -76,9 +76,10 @@ class BTree {
             const std::function<bool(const Slice& key, const Slice& value)>&
                 callback) const;
 
-  // Convenience: copies out all entries in [begin, end).
+  // Copies out the first `limit` entries in [begin, end) (all of them by
+  // default) under one hold of the shared latch.
   std::vector<std::pair<std::string, std::string>> ScanRange(
-      const Slice& begin, const Slice* end) const;
+      const Slice& begin, const Slice* end, size_t limit = SIZE_MAX) const;
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 

@@ -34,6 +34,18 @@ Status ApplyIncrementToRow(Row* row, const std::vector<ColumnDelta>& deltas) {
   return Status::OK();
 }
 
+Status DecodeVisibleRow(const Slice& value,
+                        const std::vector<std::vector<ColumnDelta>>& subtract,
+                        Row* row) {
+  IVDB_RETURN_NOT_OK(DecodeRow(value, row));
+  for (const auto& deltas : subtract) {
+    for (const ColumnDelta& d : deltas) {
+      IVDB_RETURN_NOT_OK((*row)[d.column].AccumulateAdd(d.delta.Negated()));
+    }
+  }
+  return Status::OK();
+}
+
 Status ApplyIncrementToTree(BTree* tree, const Slice& key,
                             const std::vector<ColumnDelta>& deltas) {
   Status status;

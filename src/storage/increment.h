@@ -17,6 +17,12 @@ namespace ivdb {
 // row[delta.column] += delta.delta, for every delta.
 Status ApplyIncrementToRow(Row* row, const std::vector<ColumnDelta>& deltas);
 
+// Decodes `value` into *row and strips every delta set in `subtract` (the
+// increments a snapshot must not see; VersionStore::SnapshotView).
+Status DecodeVisibleRow(const Slice& value,
+                        const std::vector<std::vector<ColumnDelta>>& subtract,
+                        Row* row);
+
 // Atomic (tree-latched) in-place increment of an encoded row.
 Status ApplyIncrementToTree(BTree* tree, const Slice& key,
                             const std::vector<ColumnDelta>& deltas);

@@ -333,36 +333,40 @@ void VersionStore::Abort(TxnId txn, uint64_t retire_stamp) {
   }
   // Unlink under the stripes, free via the epoch reclaimer: same discipline
   // as GarbageCollect, so NO version payload is ever destroyed while a
-  // stripe mutex is held.
+  // stripe mutex is held. The exclusive version_scan_mu_ keeps every unlink
+  // out of a snapshot-scan chunk's copy-to-listing window (SnapshotScan).
   auto batch = std::make_shared<RetiredVersions>();
-  for (const ChainKey& ck : keys) {
-    Stripe& stripe = StripeFor(ck);
-    MutexLock guard(&stripe.version_stripe_mu_);
-    auto chain_it = stripe.chains.find(ck);
-    if (chain_it == stripe.chains.end()) continue;
-    Chain& chain = chain_it->second;
-    auto mine_v = [txn](const ValueVersion& v) {
-      return v.superseded_ts == 0 && v.owner == txn;
-    };
-    auto mine_d = [txn](const DeltaVersion& d) {
-      return d.commit_ts == 0 && d.owner == txn;
-    };
-    auto v_it =
-        std::stable_partition(chain.values.begin(), chain.values.end(),
-                              [&](const ValueVersion& v) { return !mine_v(v); });
-    std::move(v_it, chain.values.end(), std::back_inserter(batch->values));
-    chain.values.erase(v_it, chain.values.end());
-    auto d_it =
-        std::stable_partition(chain.deltas.begin(), chain.deltas.end(),
-                              [&](const DeltaVersion& d) { return !mine_d(d); });
-    std::move(d_it, chain.deltas.end(), std::back_inserter(batch->deltas));
-    chain.deltas.erase(d_it, chain.deltas.end());
-    if (chain.values.empty() && chain.deltas.empty()) {
-      stripe.chains.erase(chain_it);
-    } else {
+  {
+    WriterMutexLock no_scan_chunk(&version_scan_mu_);
+    for (const ChainKey& ck : keys) {
+      Stripe& stripe = StripeFor(ck);
+      MutexLock guard(&stripe.version_stripe_mu_);
+      auto chain_it = stripe.chains.find(ck);
+      if (chain_it == stripe.chains.end()) continue;
+      Chain& chain = chain_it->second;
+      auto mine_v = [txn](const ValueVersion& v) {
+        return v.superseded_ts == 0 && v.owner == txn;
+      };
+      auto mine_d = [txn](const DeltaVersion& d) {
+        return d.commit_ts == 0 && d.owner == txn;
+      };
+      auto v_it = std::stable_partition(
+          chain.values.begin(), chain.values.end(),
+          [&](const ValueVersion& v) { return !mine_v(v); });
+      std::move(v_it, chain.values.end(), std::back_inserter(batch->values));
+      chain.values.erase(v_it, chain.values.end());
+      auto d_it = std::stable_partition(
+          chain.deltas.begin(), chain.deltas.end(),
+          [&](const DeltaVersion& d) { return !mine_d(d); });
+      std::move(d_it, chain.deltas.end(), std::back_inserter(batch->deltas));
+      chain.deltas.erase(d_it, chain.deltas.end());
+      if (chain.values.empty() && chain.deltas.empty()) {
+        stripe.chains.erase(chain_it);
+      } else {
 #if IVDB_CHECKS_ENABLED
-      CheckChainInvariants(chain);
+        CheckChainInvariants(chain);
 #endif
+      }
     }
   }
   const uint64_t unlinked = batch->values.size() + batch->deltas.size();
@@ -449,20 +453,75 @@ VersionStore::SnapshotView VersionStore::GetAsOfConsistent(
   return view;
 }
 
-std::vector<std::string> VersionStore::ListChainKeys(
-    uint32_t object_id) const {
-  // One stripe at a time, then sort: callers union this with the physical
-  // key set and expect deterministic ordering.
-  std::vector<std::string> keys;
+void VersionStore::ChainedKeysInRange(uint32_t object_id,
+                                      const std::string& begin,
+                                      const std::string* end,
+                                      std::vector<std::string>* keys) const {
   for (const auto& stripe : stripes_) {
     MutexLock guard(&stripe->version_stripe_mu_);
-    for (auto it = stripe->chains.lower_bound(ChainKey{object_id, ""});
-         it != stripe->chains.end() && it->first.first == object_id; ++it) {
-      keys.push_back(it->first.second);
+    for (auto it = stripe->chains.lower_bound(ChainKey{object_id, begin});
+         it != stripe->chains.end() && it->first.first == object_id &&
+         (end == nullptr || it->first.second < *end);
+         ++it) {
+      keys->push_back(it->first.second);
     }
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+}
+
+Status VersionStore::SnapshotScan(uint32_t object_id, const BTree* tree,
+                                  const Slice& begin, const Slice* end,
+                                  uint64_t snapshot_ts,
+                                  const ScanVisitor& visit) const {
+  static const std::vector<std::vector<ColumnDelta>> kNoDeltas;
+  const std::string end_key = end == nullptr ? std::string() : end->ToString();
+  std::string cursor = begin.ToString();
+  std::vector<std::string> chained;
+  while (true) {
+    std::vector<std::pair<std::string, std::string>> copy;
+    // A full chunk owns [cursor, next_cursor), next_cursor being the
+    // successor of its last key; a short chunk owns the rest of the range.
+    std::string next_cursor;
+    bool last_chunk = false;
+    chained.clear();
+    {
+      ReaderMutexLock chunk(&version_scan_mu_);
+      copy = tree->ScanRange(cursor, end, kSnapshotScanChunk);
+      last_chunk = copy.size() < kSnapshotScanChunk;
+      const std::string* chunk_end = end == nullptr ? nullptr : &end_key;
+      if (!last_chunk) {
+        next_cursor = copy.back().first + '\0';
+        chunk_end = &next_cursor;
+      }
+      ChainedKeysInRange(object_id, cursor, chunk_end, &chained);
+    }
+    std::sort(chained.begin(), chained.end());
+
+    auto resolve = [&](const std::string& key) -> Status {
+      std::optional<std::string> physical;
+      SnapshotView view =
+          GetAsOfConsistent(object_id, key, snapshot_ts, tree, &physical);
+      const std::optional<std::string>& value =
+          view.use_chain_value ? view.chain_value : physical;
+      if (!value.has_value()) return Status::OK();
+      return visit(key, *value, view.subtract);
+    };
+    // Merge the copy with the chained keys, which may include keys the copy
+    // lacks (deleted after the snapshot).
+    size_t c = 0;
+    for (const auto& [key, value] : copy) {
+      for (; c < chained.size() && chained[c] < key; c++) {
+        IVDB_RETURN_NOT_OK(resolve(chained[c]));
+      }
+      if (c < chained.size() && chained[c] == key) {
+        IVDB_RETURN_NOT_OK(resolve(chained[c++]));
+      } else {
+        IVDB_RETURN_NOT_OK(visit(key, value, kNoDeltas));
+      }
+    }
+    for (; c < chained.size(); c++) IVDB_RETURN_NOT_OK(resolve(chained[c]));
+    if (last_chunk) return Status::OK();
+    cursor = std::move(next_cursor);
+  }
 }
 
 uint64_t VersionStore::GarbageCollect(uint64_t oldest_active_ts,

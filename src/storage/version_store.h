@@ -53,6 +53,8 @@ namespace ivdb {
 // pending_mu_, ranked below the stripes; pending notes are recorded after
 // the stripe is released, which is safe because only the owning
 // transaction's thread reads or writes its own entry until commit/abort.
+// version_scan_mu_, also ranked below the stripes, orders snapshot-scan
+// chunks against Abort's unlinks (see SnapshotScan).
 //
 // Reclamation is epoch-based (docs/INTERNALS.md §7): GarbageCollect and
 // Abort only UNLINK dead versions under the stripes; the payloads move into
@@ -129,10 +131,11 @@ class VersionStore {
   void Commit(TxnId txn, uint64_t commit_ts);
 
   // Discards all pending entries of `txn` (the physical rollback restores
-  // the B-tree itself). The removed entries are unlinked under their
-  // stripes and retired at `retire_stamp` (the epoch-clock value current at
-  // the abort; 0 = "retire at the next Advance", safe because the entries
-  // were pending — no snapshot resolves them after the unlink).
+  // the B-tree itself, before this call). The removed entries are unlinked
+  // under their stripes, with version_scan_mu_ held exclusively, and
+  // retired at `retire_stamp` (the epoch-clock value current at the abort;
+  // 0 = "retire at the next Advance", safe because the entries were
+  // pending — no snapshot resolves them after the unlink).
   void Abort(TxnId txn, uint64_t retire_stamp = 0);
 
   // Commit-visibility hook, fired once per dirty (object, key) of each
@@ -170,6 +173,34 @@ class VersionStore {
                                  uint64_t snapshot_ts, const BTree* tree,
                                  std::optional<std::string>* physical) const;
 
+  // Leaf entries one SnapshotScan chunk copies under the tree latch.
+  static constexpr size_t kSnapshotScanChunk = 256;
+
+  // One row visible to a snapshot scan: its key, the base image, and the
+  // delta sets the reader must strip from it (empty when the base image is
+  // the committed row).
+  using ScanVisitor = std::function<Status(
+      const std::string& key, const std::string& value,
+      const std::vector<std::vector<ColumnDelta>>& subtract)>;
+
+  // Visits, in key order, every row of `object_id` in [begin, end) (end
+  // nullptr = unbounded) visible at `snapshot_ts`; `tree` is the object's
+  // index. Walks the range in chunks of kSnapshotScanChunk leaf entries.
+  // Per chunk, with version_scan_mu_ held shared, it copies the entries
+  // under the tree's shared latch and then lists the version chains of
+  // only the chunk's key range. Chained keys resolve via GetAsOfConsistent
+  // (a key deleted after the snapshot is visible only through its chain);
+  // every other key is served from the copy. `visit` runs with no lock
+  // held; a non-OK status from it stops the scan and is returned.
+  //
+  // Why the lock: a rollback restores the physical row before Abort
+  // unlinks its pending entry. Without the lock a chunk could copy the
+  // tree while an aborting delete still hides the row, then list the
+  // chains after the unlink, and so miss the row.
+  Status SnapshotScan(uint32_t object_id, const BTree* tree,
+                      const Slice& begin, const Slice* end,
+                      uint64_t snapshot_ts, const ScanVisitor& visit) const;
+
   // Point-in-time version-chain length distribution: entries (committed
   // versions + pending notes, value and delta alike) per chained key.
   // p99 is the nearest-rank 99th percentile across chains (equal to max
@@ -205,11 +236,6 @@ class VersionStore {
   // Standalone chain-length distribution pass (DumpMetrics-path / tests);
   // GC passes get the same stats for free via GarbageCollect's out-param.
   ChainLengthStats CollectChainLengthStats() const;
-
-  // Keys of `object_id` that currently have version chains. Snapshot scans
-  // union these with the physical keys (a recently deleted key may still be
-  // visible to old snapshots only through its chain).
-  std::vector<std::string> ListChainKeys(uint32_t object_id) const;
 
  private:
   struct ValueVersion {
@@ -269,8 +295,21 @@ class VersionStore {
   // Appends `ck` to `txn`'s dirty-key list (pending_mu_).
   void NotePending(TxnId txn, ChainKey ck);
 
+  // Appends to *keys, unsorted, the keys of `object_id` in [begin, end)
+  // (end nullptr = unbounded) that currently have version chains.
+  void ChainedKeysInRange(uint32_t object_id, const std::string& begin,
+                          const std::string* end,
+                          std::vector<std::string>* keys) const;
+
   // Striped chain map (fixed size after construction).
   std::vector<std::unique_ptr<Stripe>> stripes_;
+
+  // Held shared by a snapshot-scan chunk from its leaf copy to the end of
+  // its chain listing, and exclusively by Abort around its unlinks. Rank
+  // 39: above pending_mu_ and the retire pile, below the stripes and the
+  // tree latch it is held across.
+  mutable RankedSharedMutex version_scan_mu_{LockRank::kVersionScan,
+                                             "version_scan_mu_"};
 
   // txn -> keys it has pending entries in (for O(changes) commit/abort).
   // Ranked below the stripes: commit/abort/GC snapshot the key list here,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "common/random.h"
@@ -398,6 +399,81 @@ TEST(Concurrency, AbortStormLeavesViewExact) {
   }
   EXPECT_TRUE(db->Commit(reader).ok());
   EXPECT_TRUE(db->VerifyViewConsistency("by_grp").ok());
+}
+
+// A rollback restores the physical row before the version store unlinks
+// the transaction's pending entry. Snapshot scans racing that window must
+// still return every committed row with its committed value: never miss the
+// row while a delete rolls back, never return an aborted update's value.
+TEST(Concurrency, SnapshotScansSeeCommittedRowsThroughRollbacks) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
+  constexpr int64_t kRows = 1000;
+  constexpr int64_t kTarget = kRows / 2;
+  constexpr int64_t kSentinel = -1;
+  constexpr int kScans = 2000;
+  // Version GC is off by default, so loaded rows keep their insert chains.
+  // The target row is loaded first and its chain collected: it is then
+  // chained only while an aborting writer holds it, and served from the
+  // leaf copy otherwise. The other rows stay chained, so every scan lists
+  // their chains between its copy and the target's stripe, which widens the
+  // window a rollback must not fall into.
+  Transaction* load = db->Begin();
+  ASSERT_TRUE(db->Insert(load, "sales", Sale(kTarget, kTarget % 10, kTarget))
+                  .ok());
+  ASSERT_TRUE(db->Commit(load).ok());
+  db->Forget(load);
+  db->GarbageCollectVersions();
+  ASSERT_EQ(db->version_store_entries(), 0u);
+  load = db->Begin();
+  for (int64_t id = 0; id < kRows; id++) {
+    if (id == kTarget) continue;
+    ASSERT_TRUE(db->Insert(load, "sales", Sale(id, id % 10, id)).ok());
+  }
+  ASSERT_TRUE(db->Commit(load).ok());
+  db->Forget(load);
+
+  std::atomic<bool> stop{false};
+  auto abort_loop = [&](std::function<Status(Transaction*)> write) {
+    while (!stop.load(std::memory_order_acquire)) {
+      Transaction* txn = db->Begin();
+      (void)write(txn);  // a lock timeout leaves nothing to roll back
+      if (txn->state() == TxnState::kActive) (void)db->Abort(txn);
+      db->Forget(txn);
+    }
+  };
+  std::thread deleter(abort_loop, [&](Transaction* txn) {
+    return db->Delete(txn, "sales", {Value::Int64(kTarget)});
+  });
+  std::thread updater(abort_loop, [&](Transaction* txn) {
+    return db->Update(txn, "sales", Sale(kTarget, kTarget % 10, kSentinel));
+  });
+
+  int missing = 0;
+  int wrong = 0;
+  for (int i = 0; i < kScans; i++) {
+    Transaction* reader = db->Begin(ReadMode::kSnapshot);
+    auto rows = db->ScanTableRange(reader, "sales", {Value::Int64(0)},
+                                   {Value::Int64(kRows)});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_TRUE(db->Commit(reader).ok());
+    db->Forget(reader);
+    if (rows->size() != static_cast<size_t>(kRows)) {
+      missing++;
+      continue;
+    }
+    for (int64_t id = 0; id < kRows; id++) {
+      if ((*rows)[id] != Sale(id, id % 10, id)) {
+        wrong++;
+        break;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  deleter.join();
+  updater.join();
+  EXPECT_EQ(missing, 0) << "scans missing a row, of " << kScans;
+  EXPECT_EQ(wrong, 0) << "scans with a wrong row, of " << kScans;
 }
 
 }  // namespace

@@ -39,11 +39,20 @@ struct Fixture {
     view_id = db->CreateIndexedView(def).value()->id;
   }
 
+  // Runs fn in a transaction and commits it. A failed attempt is rolled
+  // back and forgotten; a transient one (kBusy from ghost-row stabilization
+  // racing the background cleaner, or a lock-conflict rollback) is retried
+  // a bounded number of times.
   void CommitOp(const std::function<Status(Transaction*)>& fn) {
-    Transaction* txn = db->Begin();
-    Status s = fn(txn);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    s = db->Commit(txn);
+    Status s;
+    for (int attempt = 0; attempt < 20; attempt++) {
+      Transaction* txn = db->Begin();
+      s = fn(txn);
+      if (s.ok()) s = db->Commit(txn);
+      if (!s.ok() && txn->state() == TxnState::kActive) (void)db->Abort(txn);
+      db->Forget(txn);
+      if (s.ok() || !(s.IsBusy() || s.RequiresRollback())) break;
+    }
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
 

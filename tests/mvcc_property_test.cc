@@ -1,7 +1,8 @@
 // MVCC property torture: snapshot readers must observe a state that equals
-// the model at their snapshot timestamp, while plain and escrow writers,
-// continuous version GC, ghost cleanup, and fuzzy checkpoints all run
-// concurrently (docs/INTERNALS.md §7, EXPERIMENTS.md E11).
+// the model at their snapshot timestamp, while plain and escrow writers
+// (rolling back about one transaction in four after its DML), continuous
+// version GC, ghost cleanup, and fuzzy checkpoints all run concurrently
+// (docs/INTERNALS.md §7, EXPERIMENTS.md E11).
 //
 // The per-snapshot model is the fact table read in the SAME transaction:
 // at any begin timestamp, the two aggregate views over "sales" must equal a
@@ -150,6 +151,13 @@ class MvccPropertyTest : public ::testing::Test {
           if (s.IsNotFound()) s = Status::OK();
           break;
       }
+      if (s.ok() && rng->Uniform(4) == 0) {
+        // A deliberate rollback after the DML landed: its physical undo and
+        // pending-version unlinks race the snapshot readers.
+        EXPECT_TRUE(db_->Abort(txn).ok());
+        db_->Forget(txn);
+        return;
+      }
       if (s.ok()) {
         // The shadow mutex brackets Commit, so shadow-apply order equals
         // commit-visibility order. Taken only after every row lock is held
@@ -177,17 +185,33 @@ class MvccPropertyTest : public ::testing::Test {
   }
 
   // One snapshot read: both views must equal a recomputation from the fact
-  // table at the same begin timestamp.
-  void SnapshotCheck() {
+  // table at the same begin timestamp, and a range scan over a random
+  // sub-range must equal, row for row, point reads of every id in it (Get
+  // resolves each key on its own, so it is the reference for the scan).
+  void SnapshotCheck(Random* rng) {
+    const int64_t lo = static_cast<int64_t>(rng->Uniform(kIdSpace));
+    const int64_t hi =
+        lo + 1 + static_cast<int64_t>(rng->Uniform(kIdSpace - lo));
     Transaction* txn = db_->Begin(ReadMode::kSnapshot);
     auto facts = db_->ScanTable(txn, "sales");
     auto v1 = db_->ScanView(txn, "by_region");
     auto v2 = db_->ScanView(txn, "by_region_units");
+    auto range = db_->ScanTableRange(txn, "sales", {Value::Int64(lo)},
+                                     {Value::Int64(hi)});
+    std::vector<Row> gets;
+    for (int64_t id = lo; id < hi; id++) {
+      auto row = db_->Get(txn, "sales", {Value::Int64(id)});
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      if (row->has_value()) gets.push_back(std::move(**row));
+    }
     ASSERT_TRUE(facts.ok()) << facts.status().ToString();
     ASSERT_TRUE(v1.ok()) << v1.status().ToString();
     ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
     EXPECT_TRUE(db_->Commit(txn).ok());
     db_->Forget(txn);
+
+    EXPECT_EQ(*range, gets) << "range [" << lo << ", " << hi << ")";
 
     const AggModel expected = AggregateFacts(*facts);
     ExpectAggEqual(expected, ParseViewRows(*v1, false), false, "by_region");
@@ -231,9 +255,10 @@ TEST_F(MvccPropertyTest, ReadersMatchModelUnderConcurrentGc) {
     });
   }
   for (int r = 0; r < kReaders; r++) {
-    threads.emplace_back([this, &done] {
-      while (!done.load(std::memory_order_acquire)) SnapshotCheck();
-      SnapshotCheck();  // one final check after the last commit
+    threads.emplace_back([this, &done, r, seed] {
+      Random rng(seed * 104729 + static_cast<uint64_t>(r) + 1);
+      while (!done.load(std::memory_order_acquire)) SnapshotCheck(&rng);
+      SnapshotCheck(&rng);  // one final check after the last commit
     });
   }
   // Chaos: fuzzy checkpoints + ghost cleanup + foreground GC passes race
@@ -306,7 +331,7 @@ TEST_F(MvccPropertyTest, PinnedSnapshotStableUnderContinuousGc) {
 
   // With the pin released, the horizon advances and the chains drain.
   DrainVersionStore();
-  SnapshotCheck();
+  SnapshotCheck(&rng);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/file_util.h"
 #include "engine/database.h"
+#include "engine/snapshot.h"
 #include "test_util.h"
 
 namespace ivdb {
@@ -156,6 +159,57 @@ TEST_F(RecoveryTest, CheckpointRetiresDeadSegmentsAndRestores) {
   Transaction* reader = db->Begin();
   EXPECT_EQ(db->ScanTable(reader, "sales")->size(), 51u);
   EXPECT_TRUE(db->Commit(reader).ok());
+}
+
+// On a quiescent database with a drained version store, the image a
+// checkpoint builds from snapshot scans is byte for byte the physical
+// trees' own serialization: base rows, ghost view rows and secondary-index
+// entries alike.
+TEST_F(RecoveryTest, QuiescentCheckpointImageEqualsTreeSerialization) {
+  auto db = OpenDb();
+  ObjectId fact = db->CreateTable("sales", SalesSchema(), {0}).value()->id;
+  ObjectId view = db->CreateIndexedView(RegionView(fact)).value()->id;
+  ObjectId by_qty =
+      db->CreateSecondaryIndex("sales_by_qty", "sales", {"qty"}).value()->id;
+  const char* const regions[] = {"eu", "us", "apac"};
+  Transaction* txn = db->Begin();
+  for (int i = 0; i < 700; i++) {
+    ASSERT_TRUE(
+        db->Insert(txn, "sales", Sale(i, regions[i % 3], i * 0.5, i % 7)).ok());
+  }
+  ASSERT_TRUE(db->Commit(txn).ok());
+  db->Forget(txn);
+  // Updates, deletes and a drained group (its view row stays as a ghost).
+  txn = db->Begin();
+  for (int i = 0; i < 700; i += 3) {
+    ASSERT_TRUE(db->Delete(txn, "sales", {Value::Int64(i)}).ok());
+  }
+  for (int i = 1; i < 700; i += 9) {
+    ASSERT_TRUE(db->Update(txn, "sales", Sale(i, "apac", 1.0, 3)).ok());
+  }
+  ASSERT_TRUE(db->Commit(txn).ok());
+  db->Forget(txn);
+  for (int i = 0; i < 20 && db->version_store_entries() > 0; i++) {
+    db->GarbageCollectVersions();
+  }
+  ASSERT_EQ(db->version_store_entries(), 0u);
+  // Serialized before the checkpoint: the ghost-cleanup pass that follows
+  // every checkpoint removes the ghost from the live tree.
+  std::map<ObjectId, std::string> expected;
+  for (ObjectId id : {fact, view, by_qty}) {
+    db->GetIndex(id)->SerializeTo(&expected[id]);
+  }
+
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(dir_ + "/checkpoint.db", &contents).ok());
+  SnapshotImage image;
+  ASSERT_TRUE(DecodeSnapshot(contents, &image).ok());
+  ASSERT_EQ(image.indexes.size(), expected.size());
+  for (const auto& [id, payload] : image.indexes) {
+    ASSERT_EQ(expected.count(id), 1u) << "index " << id;
+    EXPECT_EQ(payload, expected[id]) << "index " << id;
+  }
 }
 
 TEST_F(RecoveryTest, ViewDefinitionSurvivesViaCheckpoint) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 namespace ivdb {
 namespace {
 
@@ -183,16 +185,91 @@ TEST(VersionStore, GcKeepsPendingEntries) {
   EXPECT_EQ(vs.TotalEntries(), 2u);
 }
 
-TEST(VersionStore, ListChainKeys) {
+// Runs SnapshotScan and returns the visible (key, value) pairs, with the
+// subtract lists checked empty (this test writes no increments).
+std::vector<std::pair<std::string, std::string>> ScanAt(
+    const VersionStore& vs, const BTree& tree, uint64_t ts,
+    const Slice& begin = "", const Slice* end = nullptr) {
+  std::vector<std::pair<std::string, std::string>> out;
+  Status s = vs.SnapshotScan(
+      kObj, &tree, begin, end, ts,
+      [&out](const std::string& key, const std::string& value,
+             const std::vector<std::vector<ColumnDelta>>& subtract) {
+        EXPECT_TRUE(subtract.empty()) << key;
+        out.emplace_back(key, value);
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return out;
+}
+
+std::string PaddedKey(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "k%04d", i);
+  return buf;
+}
+
+TEST(VersionStore, SnapshotScanMergesChainsWithTheLeafCopy) {
+  // Three chunks of physical rows, then writes after snapshot 50: a
+  // committed delete in the first chunk, a pending update at the first
+  // chunk boundary, a pending insert, a committed delete past the last
+  // physical key, and a chain of another object.
+  constexpr int kRows = 2 * VersionStore::kSnapshotScanChunk + 88;
   VersionStore vs;
-  vs.NotePendingWrite(kObj, "a", std::string("v"), 1);
-  vs.NotePendingWrite(kObj, "b", std::string("v"), 1);
-  vs.NotePendingWrite(kObj + 1, "c", std::string("v"), 1);
-  auto keys = vs.ListChainKeys(kObj);
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[1], "b");
-  EXPECT_EQ(vs.ListChainKeys(kObj + 2).size(), 0u);
+  BTree tree;
+  for (int i = 0; i < kRows; i++) {
+    tree.Put(PaddedKey(i), "v" + std::to_string(i));
+  }
+  const int boundary = VersionStore::kSnapshotScanChunk;
+  ASSERT_TRUE(tree.Delete(PaddedKey(100)));
+  vs.NotePendingWrite(kObj, PaddedKey(100), std::string("v100"), 1);
+  vs.Commit(1, 60);
+  tree.Put(PaddedKey(boundary), "new");
+  vs.NotePendingWrite(kObj, PaddedKey(boundary),
+                      "v" + std::to_string(boundary), 2);
+  tree.Put("k0300x", "inserted");
+  vs.NotePendingWrite(kObj, "k0300x", std::nullopt, 3);
+  vs.NotePendingWrite(kObj, "k9999", std::string("tail"), 4);
+  vs.Commit(4, 70);
+  vs.NotePendingWrite(kObj + 1, PaddedKey(1), std::string("other"), 5);
+
+  auto at50 = ScanAt(vs, tree, 50);
+  ASSERT_EQ(at50.size(), static_cast<size_t>(kRows + 1));
+  for (int i = 0; i < kRows; i++) {
+    EXPECT_EQ(at50[i].first, PaddedKey(i));
+    EXPECT_EQ(at50[i].second, "v" + std::to_string(i));
+  }
+  EXPECT_EQ(at50.back(), std::make_pair(std::string("k9999"),
+                                        std::string("tail")));
+
+  // After both commits: the deletes are visible, the pendings are not.
+  auto at100 = ScanAt(vs, tree, 100);
+  ASSERT_EQ(at100.size(), static_cast<size_t>(kRows - 1));
+  for (const auto& [key, value] : at100) {
+    EXPECT_NE(key, PaddedKey(100));
+    EXPECT_NE(key, "k0300x");
+    if (key == PaddedKey(boundary)) {
+      EXPECT_EQ(value, "v" + std::to_string(boundary));
+    }
+  }
+
+  // A bounded range takes only its own keys, chained ones included.
+  const std::string end_key = PaddedKey(102);
+  const Slice end(end_key);
+  auto range = ScanAt(vs, tree, 50, PaddedKey(99), &end);
+  ASSERT_EQ(range.size(), 3u);
+  EXPECT_EQ(range[1], std::make_pair(PaddedKey(100), std::string("v100")));
+
+  // A visitor error stops the scan and is returned.
+  int visited = 0;
+  Status s = vs.SnapshotScan(
+      kObj, &tree, "", nullptr, 50,
+      [&visited](const std::string&, const std::string&,
+                 const std::vector<std::vector<ColumnDelta>>&) {
+        return ++visited == 3 ? Status::Aborted("stop") : Status::OK();
+      });
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(visited, 3);
 }
 
 TEST(VersionStore, DuplicatePendingWriteIgnored) {
