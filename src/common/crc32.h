@@ -6,8 +6,10 @@
 
 namespace ivdb {
 
-// CRC-32 (IEEE polynomial) used to detect torn/corrupt log records at the
-// tail of the write-ahead log after a crash.
+// CRC-32 (reflected IEEE polynomial, as in zlib) framing every WAL record
+// and the checkpoint image: detects torn or corrupt log records and images
+// at restart. Slicing-by-8; values are the standard CRC-32 (see
+// coding_test's known answers), so on-disk checksums never change.
 uint32_t Crc32(const void* data, size_t n);
 
 }  // namespace ivdb

@@ -152,17 +152,34 @@ Status PosixEnv::ReadFileToString(const std::string& path, std::string* out) {
     if (errno == ENOENT) return Status::NotFound("no such file: " + path);
     return Status::IOError(ErrnoMessage("open", path));
   }
-  char buf[1 << 16];
+  auto fail = [&](const char* op) {
+    Status s = Status::IOError(ErrnoMessage(op, path));
+    ::close(fd);
+    out->clear();
+    return s;
+  };
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return fail("fstat");
+  // Read straight into a string sized from fstat. Once it is full, reads go
+  // to a small probe buffer: normally the probe sees EOF at once; bytes it
+  // does get (the file grew) are appended. A file that shrank stops early.
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  char probe[4096];
   while (true) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
+    const bool in_place = got < out->size();
+    char* dst = in_place ? out->data() + got : probe;
+    const size_t room = in_place ? out->size() - got : sizeof(probe);
+    ssize_t n = ::read(fd, dst, room);
     if (n < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::IOError(ErrnoMessage("read", path));
+      return fail("read");
     }
     if (n == 0) break;
-    out->append(buf, static_cast<size_t>(n));
+    if (!in_place) out->append(probe, static_cast<size_t>(n));
+    got += static_cast<size_t>(n);
   }
+  out->resize(got);
   ::close(fd);
   return Status::OK();
 }
@@ -400,6 +417,7 @@ Status FaultInjectionEnv::ReadFileToString(const std::string& path,
     MutexLock guard(&env_mu_);
     if (reads_to_fail_ > 0) {
       reads_to_fail_--;
+      out->clear();
       return Status::IOError("injected transient read failure");
     }
   }

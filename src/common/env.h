@@ -47,7 +47,8 @@ class Env {
   virtual Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, bool truncate_existing) = 0;
 
-  // Reads an entire file into *out. NotFound if the file does not exist.
+  // Reads an entire file into *out. NotFound if the file does not exist;
+  // *out is left empty on any failure.
   virtual Status ReadFileToString(const std::string& path,
                                   std::string* out) = 0;
 

@@ -102,6 +102,16 @@ Database::Database(DatabaseOptions options)
       obs::WithLabel("ivdb_ckpt_phase_micros", "phase", "retire"));
   recovery_segment_micros_ =
       registry_.GetHistogram("ivdb_recovery_segment_micros");
+  recovery_phase_image_load_ = registry_.GetHistogram(
+      obs::WithLabel("ivdb_recovery_phase_micros", "phase", "image_load"));
+  recovery_phase_log_read_ = registry_.GetHistogram(
+      obs::WithLabel("ivdb_recovery_phase_micros", "phase", "log_read"));
+  recovery_phase_analysis_ = registry_.GetHistogram(
+      obs::WithLabel("ivdb_recovery_phase_micros", "phase", "analysis"));
+  recovery_phase_redo_ = registry_.GetHistogram(
+      obs::WithLabel("ivdb_recovery_phase_micros", "phase", "redo"));
+  recovery_phase_undo_ = registry_.GetHistogram(
+      obs::WithLabel("ivdb_recovery_phase_micros", "phase", "undo"));
   build_started_ = registry_.GetCounter("ivdb_view_build_started_total");
   build_committed_ = registry_.GetCounter("ivdb_view_build_committed_total");
   build_abandoned_ = registry_.GetCounter("ivdb_view_build_abandoned_total");
@@ -218,7 +228,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
     IVDB_RETURN_NOT_OK(env->EnsureDirectory(options.dir));
   }
   std::unique_ptr<Database> db(new Database(std::move(options)));
-  IVDB_RETURN_NOT_OK(db->log_->Open());
   IVDB_RETURN_NOT_OK(db->Recover());
   // From here an IVDB_ASSERT/IVDB_INVARIANT failure anywhere in the process
   // writes this engine's flight recorder next to its WAL before aborting.
@@ -1514,7 +1523,11 @@ Status Database::RestoreFromImage(const SnapshotImage& image) {
 }
 
 Status Database::Recover() {
-  if (options_.dir.empty()) return Status::OK();
+  if (options_.dir.empty()) return log_->Open();  // in-memory: no replay
+  // Each phase boundary is one clock read that closes one phase and opens
+  // the next, so the five ivdb_recovery_phase_micros samples partition
+  // Recover's wall time exactly.
+  const uint64_t start_micros = clock_->NowMicros();
 
   // A crash inside an atomic file replace can strand a half-written
   // `*.tmp` file; it was never renamed into place, so its contents are
@@ -1528,6 +1541,9 @@ Status Database::Recover() {
     }
   }
 
+  // The image loads first. Its file bytes and decoded copy die with this
+  // block, before the log is decoded, so they never share memory with the
+  // decoded records.
   Lsn checkpoint_lsn = kInvalidLsn;
   std::set<TxnId> image_excluded;
   if (env_->FileExists(CheckpointPath())) {
@@ -1541,13 +1557,15 @@ Status Database::Recover() {
                           image.active_txns.end());
   }
 
-  // Parallel redo pipeline: segments are decoded and CRC-checked
-  // concurrently, then applied below in strict LSN order.
+  const uint64_t image_end = clock_->NowMicros();
+
+  // The one read of the log: opening it for appends decodes and
+  // CRC-checks every live segment concurrently and hands the records over
+  // in LSN order; analysis, redo and undo all work from them.
   std::vector<LogRecord> records;
   std::vector<LogManager::SegmentReadStats> segment_stats;
-  IVDB_RETURN_NOT_OK(LogManager::ReadLog(options_.dir, &records, env_,
-                                         options_.recovery_threads,
-                                         &segment_stats));
+  IVDB_RETURN_NOT_OK(
+      log_->Open(&records, options_.recovery_threads, &segment_stats));
   for (const LogManager::SegmentReadStats& st : segment_stats) {
     recovery_segment_micros_->Record(st.micros);
     // Spans are re-anchored at emission time (the decode ran on unnamed
@@ -1565,8 +1583,13 @@ Status Database::Recover() {
     return rec.lsn <= checkpoint_lsn &&
            image_excluded.count(rec.txn_id) == 0;
   };
+  auto build_marker = [](const LogRecord& rec) {
+    return rec.type == LogRecordType::kViewBuildStart ||
+           rec.type == LogRecordType::kViewBuildCommit;
+  };
+  const uint64_t log_end = clock_->NowMicros();
 
-  // --- Analysis: transaction outcomes + chain index. ---
+  // --- Analysis: transaction outcomes. ---
   struct TxnEntry {
     Lsn last_lsn = kInvalidLsn;
     bool committed = false;
@@ -1574,14 +1597,12 @@ Status Database::Recover() {
     bool system = false;
   };
   std::map<TxnId, TxnEntry> txn_table;
-  std::map<Lsn, const LogRecord*> by_lsn;
   Lsn max_lsn = checkpoint_lsn;
   TxnId max_txn = 0;
   uint64_t max_ts = 0;
 
   for (const LogRecord& rec : records) {
-    if (rec.type == LogRecordType::kViewBuildStart ||
-        rec.type == LogRecordType::kViewBuildCommit) {
+    if (build_marker(rec)) {
       // Engine-level build markers: no transaction behind them, so they
       // must not enter the loser table — but their LSNs and timestamps
       // still bound post-restart allocation.
@@ -1593,7 +1614,6 @@ Status Database::Recover() {
     max_lsn = std::max(max_lsn, rec.lsn);
     max_txn = std::max(max_txn, rec.txn_id);
     max_ts = std::max(max_ts, rec.timestamp);
-    by_lsn[rec.lsn] = &rec;
     TxnEntry& entry = txn_table[rec.txn_id];
     entry.last_lsn = rec.lsn;
     entry.system = rec.system_txn;
@@ -1635,6 +1655,7 @@ Status Database::Recover() {
       committed_builds.insert(static_cast<ObjectId>(rec.object_id));
     }
   }
+  const uint64_t analysis_end = clock_->NowMicros();
 
   // --- Redo: replay history (including compensations) from the snapshot
   //     base. Logical redo is deterministic and exact from the image:
@@ -1657,20 +1678,42 @@ Status Database::Recover() {
         break;
     }
   }
+  const uint64_t redo_end = clock_->NowMicros();
 
   // --- Undo: roll back losers (no COMMIT, no END), resuming mid-rollback
-  //     transactions from their last CLR's undo_next_lsn. ---
+  //     transactions from their last CLR's undo_next_lsn. A chain may only
+  //     reach records analysis admitted. LSNs ascend through `records` and
+  //     are dense unless a restart resumed allocation past an image ahead
+  //     of the durable log, so a record's offset from the first LSN finds
+  //     it directly and a binary search covers such a gap. ---
+  auto admitted = [&](Lsn lsn) -> const LogRecord* {
+    auto it = records.end();
+    const Lsn first = records.empty() ? kInvalidLsn : records.front().lsn;
+    if (lsn >= first && lsn - first < records.size()) {
+      it = records.begin() + static_cast<ptrdiff_t>(lsn - first);
+    }
+    if (it == records.end() || it->lsn != lsn) {
+      it = std::lower_bound(
+          records.begin(), records.end(), lsn,
+          [](const LogRecord& rec, Lsn target) { return rec.lsn < target; });
+    }
+    if (it == records.end() || it->lsn != lsn || build_marker(*it) ||
+        skip_record(*it)) {
+      return nullptr;
+    }
+    return &*it;
+  };
   for (auto& [txn_id, entry] : txn_table) {
     if (entry.committed || entry.ended) continue;
     Lsn cursor = entry.last_lsn;
     Lsn chain_tail = entry.last_lsn;
     while (cursor != kInvalidLsn) {
-      auto it = by_lsn.find(cursor);
-      if (it == by_lsn.end()) {
+      const LogRecord* found = admitted(cursor);
+      if (found == nullptr) {
         return Status::Corruption("undo chain references missing LSN " +
                                   std::to_string(cursor));
       }
-      const LogRecord& rec = *it->second;
+      const LogRecord& rec = *found;
       switch (rec.type) {
         case LogRecordType::kClr:
           cursor = rec.undo_next_lsn;
@@ -1705,6 +1748,9 @@ Status Database::Recover() {
     end.prev_lsn = chain_tail;
     IVDB_RETURN_NOT_OK(log_->Append(&end));
   }
+  // Nothing below reads the decoded log. Freed here, its teardown is timed
+  // in the undo phase rather than after the last clock read.
+  std::vector<LogRecord>().swap(records);
 
   // --- Resolve online view builds (after undo, so the tree contents are
   //     final): a build with a durable commit marker flips its view live —
@@ -1729,7 +1775,14 @@ Status Database::Recover() {
     }
   }
 
-  return log_->Flush(log_->last_lsn());
+  IVDB_RETURN_NOT_OK(log_->Flush(log_->last_lsn()));
+  const uint64_t undo_end = clock_->NowMicros();
+  recovery_phase_image_load_->Record(image_end - start_micros);
+  recovery_phase_log_read_->Record(log_end - image_end);
+  recovery_phase_analysis_->Record(analysis_end - log_end);
+  recovery_phase_redo_->Record(redo_end - analysis_end);
+  recovery_phase_undo_->Record(undo_end - redo_end);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

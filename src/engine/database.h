@@ -414,6 +414,9 @@ class Database : public LogApplier, public IndexResolver {
 
   std::string CheckpointPath() const { return options_.dir + "/checkpoint.db"; }
 
+  // Restart, for a durable directory: loads the checkpoint image, opens
+  // the log (its one decode), then runs analysis, redo and undo over the
+  // decoded records. Opens the in-memory log otherwise.
   Status Recover();
   Status RestoreFromImage(const SnapshotImage& image);
   // Writes the flight recorder's contents to `<dir>/blackbox-<seq>.json`
@@ -564,6 +567,13 @@ class Database : public LogApplier, public IndexResolver {
   obs::Histogram* ckpt_phase_retire_ = nullptr;
   // Per-segment decode + CRC time of the restart redo pipeline.
   obs::Histogram* recovery_segment_micros_ = nullptr;
+  // Restart phase breakdown (`ivdb_recovery_phase_micros{phase=...}`): the
+  // five phases partition Recover's wall time exactly (same clock reads).
+  obs::Histogram* recovery_phase_image_load_ = nullptr;
+  obs::Histogram* recovery_phase_log_read_ = nullptr;
+  obs::Histogram* recovery_phase_analysis_ = nullptr;
+  obs::Histogram* recovery_phase_redo_ = nullptr;
+  obs::Histogram* recovery_phase_undo_ = nullptr;
 
   // Online view build instruments (`ivdb_view_build_*`).
   obs::Counter* build_started_ = nullptr;

@@ -362,13 +362,79 @@ Status BTree::DeserializeFrom(Slice* input) {
   if (!GetVarint64(input, &count)) {
     return Status::Corruption("btree snapshot header");
   }
-  std::string key, value;
-  for (uint64_t i = 0; i < count; i++) {
-    if (!GetLengthPrefixed(input, &key) || !GetLengthPrefixed(input, &value)) {
-      return Status::Corruption("btree snapshot entry truncated");
-    }
-    Put(key, value);
+  if (count == 0) return Status::OK();
+  // Every entry takes at least two bytes (two length prefixes), which also
+  // bounds the allocations below for a corrupt count.
+  if (count > input->size() / 2) {
+    return Status::Corruption("btree snapshot entry truncated");
   }
+
+  // Bottom-up build: SerializeTo emits entries in key order, so they fill
+  // leaves left to right. The fewest leaves that hold `count` entries,
+  // filled evenly, each hold kMinEntries..kMaxEntries (a lone leaf is the
+  // root and may hold fewer). Nothing is installed until every entry has
+  // parsed, so a failure leaves the tree empty.
+  const size_t n = static_cast<size_t>(count);
+  const size_t leaf_count = (n + kMaxEntries - 1) / kMaxEntries;
+  std::vector<std::unique_ptr<Node>> level;
+  level.reserve(leaf_count);
+  const std::string* prev_key = nullptr;
+  Node* prev_leaf = nullptr;
+  for (size_t l = 0; l < leaf_count; l++) {
+    const size_t take = n / leaf_count + (l < n % leaf_count ? 1 : 0);
+    auto leaf = std::make_unique<Node>(/*is_leaf=*/true);
+    leaf->keys.resize(take);
+    leaf->values.resize(take);
+    for (size_t i = 0; i < take; i++) {
+      if (!GetLengthPrefixed(input, &leaf->keys[i]) ||
+          !GetLengthPrefixed(input, &leaf->values[i])) {
+        return Status::Corruption("btree snapshot entry truncated");
+      }
+      if (prev_key != nullptr && !(*prev_key < leaf->keys[i])) {
+        return Status::Corruption("btree snapshot keys not strictly ascending");
+      }
+      prev_key = &leaf->keys[i];
+    }
+    leaf->prev = prev_leaf;
+    if (prev_leaf != nullptr) prev_leaf->next = leaf.get();
+    prev_leaf = leaf.get();
+    level.push_back(std::move(leaf));
+  }
+  Node* first_leaf = level.front().get();
+
+  // Internal levels the same way: the fewest nodes of at most
+  // kMaxEntries + 1 children, filled evenly, until one root remains. A
+  // separator is the smallest key of the subtree to its right.
+  while (level.size() > 1) {
+    constexpr size_t kMaxChildren = kMaxEntries + 1;
+    const size_t parent_count =
+        (level.size() + kMaxChildren - 1) / kMaxChildren;
+    std::vector<std::unique_ptr<Node>> parents;
+    parents.reserve(parent_count);
+    size_t next = 0;
+    for (size_t p = 0; p < parent_count; p++) {
+      const size_t take = level.size() / parent_count +
+                          (p < level.size() % parent_count ? 1 : 0);
+      auto parent = std::make_unique<Node>(/*is_leaf=*/false);
+      parent->keys.reserve(take - 1);
+      parent->children.reserve(take);
+      for (size_t i = 0; i < take; i++, next++) {
+        if (i > 0) {
+          const Node* leftmost = level[next].get();
+          while (!leftmost->leaf) leftmost = leftmost->children.front().get();
+          parent->keys.push_back(leftmost->keys.front());
+        }
+        parent->children.push_back(std::move(level[next]));
+      }
+      parents.push_back(std::move(parent));
+    }
+    level = std::move(parents);
+  }
+
+  WriterMutexLock latch(&latch_);
+  root_ = std::move(level.front());
+  first_leaf_ = first_leaf;
+  size_.store(count, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -86,6 +86,10 @@ class BTree {
   void Clear();
 
   // Checkpoint support: ordered dump / bulk reload of all entries.
+  // DeserializeFrom replaces the contents, building the tree bottom-up from
+  // the ascending entries (leaves and internal nodes filled evenly). Keys
+  // that are not strictly ascending, or a truncated payload, return
+  // Corruption and leave the tree empty.
   void SerializeTo(std::string* dst) const;
   Status DeserializeFrom(Slice* input);
 

@@ -172,57 +172,20 @@ Result<std::vector<std::string>> LogManager::ListSegmentFiles(
   return names;
 }
 
-Status LogManager::Open() {
+Status LogManager::Open(std::vector<LogRecord>* records, unsigned threads,
+                        std::vector<SegmentReadStats>* segment_stats) {
+  std::vector<LogRecord> discarded;
+  if (records == nullptr) records = &discarded;
+  records->clear();
+  if (segment_stats != nullptr) segment_stats->clear();
   if (options_.dir.empty()) return Status::OK();  // in-memory log
   IVDB_RETURN_NOT_OK(env_->EnsureDirectory(options_.dir));
   std::vector<std::string> names;
   IVDB_ASSIGN_OR_RETURN(names, ListSegmentFiles(options_.dir, env_));
 
   std::vector<Segment> segments;
-  Lsn last_lsn_on_disk = 0;
-  Lsn expected_first = kInvalidLsn;
-  for (size_t i = 0; i < names.size(); ++i) {
-    const bool newest = (i + 1 == names.size());
-    const std::string path = options_.dir + "/" + names[i];
-    std::string contents;
-    IVDB_RETURN_NOT_OK(env_->ReadFileToString(path, &contents));
-    std::vector<LogRecord> recs;
-    uint64_t valid_bytes = 0;
-    // Tolerant decode in every position: Open's job is to find the append
-    // resumption point; ReadLog is the strict authority during recovery.
-    // Damage in a sealed segment still surfaces here as an LSN
-    // discontinuity against the following segment.
-    (void)DecodeSegment(contents, /*strict=*/false, &recs, &valid_bytes);
-    if (!recs.empty()) {
-      if (expected_first != kInvalidLsn &&
-          recs.front().lsn != expected_first) {
-        return Status::Corruption("WAL segment " + names[i] +
-                                  " does not continue the LSN stream");
-      }
-      last_lsn_on_disk = recs.back().lsn;
-      expected_first = last_lsn_on_disk + 1;
-    }
-    Segment seg;
-    seg.seqno = 0;
-    (void)ParseSegmentSeqno(names[i], &seg.seqno);
-    if (newest) {
-      // Crash-tail repair: drop any bytes past the last whole record so
-      // appends resume exactly where the durable prefix ends. Without this
-      // an append-mode reopen would write *after* the torn bytes, and every
-      // record from here on would be unreachable to the next recovery.
-      if (contents.size() > valid_bytes) {
-        IVDB_RETURN_NOT_OK(env_->TruncateFile(path, valid_bytes));
-      }
-      seg.bytes = valid_bytes;
-      seg.end_lsn = kInvalidLsn;
-    } else {
-      seg.bytes = contents.size();
-      seg.end_lsn = last_lsn_on_disk;
-    }
-    segments.push_back(seg);
-  }
-
-  if (segments.empty()) {
+  std::vector<SegmentReadStats> stats;
+  if (names.empty()) {
     IVDB_ASSIGN_OR_RETURN(file_, env_->NewWritableFile(
                                      SegmentPath(1),
                                      /*truncate_existing=*/true));
@@ -230,10 +193,29 @@ Status LogManager::Open() {
     seg.seqno = 1;
     segments.push_back(seg);
   } else {
-    IVDB_ASSIGN_OR_RETURN(
-        file_, env_->NewWritableFile(options_.dir + "/" + names.back(),
-                                     /*truncate_existing=*/false));
+    IVDB_RETURN_NOT_OK(ReadSegmentFiles(options_.dir, names, env_, threads,
+                                        /*min_lsn=*/0, records, &stats));
+    for (const SegmentReadStats& st : stats) {
+      Segment seg;
+      seg.seqno = st.seqno;
+      seg.bytes = st.bytes;
+      seg.end_lsn = st.last_lsn;
+      segments.push_back(seg);
+    }
+    // The newest segment is the open one: no end LSN while appendable.
+    // Crash-tail repair: drop any bytes past its last whole record so
+    // appends resume exactly where the durable prefix ends. Without this
+    // an append-mode reopen would write *after* the torn bytes, and every
+    // record from here on would be unreachable to the next recovery.
+    segments.back().end_lsn = kInvalidLsn;
+    const std::string newest = options_.dir + "/" + names.back();
+    if (stats.back().file_bytes > stats.back().bytes) {
+      IVDB_RETURN_NOT_OK(env_->TruncateFile(newest, stats.back().bytes));
+    }
+    IVDB_ASSIGN_OR_RETURN(file_, env_->NewWritableFile(
+                                     newest, /*truncate_existing=*/false));
   }
+  const Lsn last_lsn_on_disk = records->empty() ? 0 : records->back().lsn;
 
   {
     MutexLock seg_guard(&seg_mu_);
@@ -242,6 +224,7 @@ Status LogManager::Open() {
   }
   next_lsn_.store(last_lsn_on_disk + 1, std::memory_order_relaxed);
   flushed_lsn_.store(last_lsn_on_disk, std::memory_order_relaxed);
+  if (segment_stats != nullptr) *segment_stats = std::move(stats);
   return Status::OK();
 }
 
@@ -655,6 +638,10 @@ Status LogManager::ReadSegmentFiles(
     (void)ParseSegmentSeqno(names[i], &stats[i].seqno);
     stats[i].records = per_segment[i].size();
     stats[i].bytes = valid_bytes;
+    stats[i].file_bytes = contents.size();
+    if (!per_segment[i].empty()) {
+      stats[i].last_lsn = per_segment[i].back().lsn;
+    }
     stats[i].micros = Clock::Default()->NowMicros() - decode_start;
   };
   if (workers == 1) {

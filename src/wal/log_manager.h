@@ -140,12 +140,37 @@ class LogManager {
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
 
-  // Enumerates segments in the directory, repairs a torn tail on the newest
-  // segment (crash recovery: truncate to the last whole record so appends
-  // resume exactly where the durable prefix ends), opens the newest segment
-  // for appends (creating `wal-000001.log` in an empty directory), and
-  // resumes LSN allocation after the last record on disk.
-  Status Open();
+  // Per-segment decode accounting, one entry per segment in seqno order:
+  // how many records and bytes each segment contributed, how long its
+  // decode + CRC pass took (real time — decode workers are real threads,
+  // so there is no Clock seam to virtualize here), and what Open needs to
+  // rebuild its manifest. Recovery turns these into the per-segment replay
+  // histogram and flight-recorder spans.
+  struct SegmentReadStats {
+    uint64_t seqno = 0;
+    uint64_t records = 0;
+    // Length of the well-formed record prefix. Below file_bytes only on
+    // the newest segment, when its tail is torn.
+    uint64_t bytes = 0;
+    uint64_t file_bytes = 0;
+    Lsn last_lsn = kInvalidLsn;  // highest LSN in the segment; 0 if empty
+    uint64_t micros = 0;
+  };
+
+  // Opens the log for appends, reading each live segment exactly once.
+  // One ReadSegmentFiles pass on `threads` workers (0 = auto, 1 = serial)
+  // decodes and CRC-checks every segment under ReadLog's rules — strict on
+  // sealed segments, so damage there fails the open with Corruption;
+  // tolerant on the newest. From its per-segment results Open builds the
+  // segment manifest, truncates the newest segment's torn tail (so appends
+  // resume exactly where the durable prefix ends instead of after
+  // unreachable garbage), opens that segment for appends (creating
+  // `wal-000001.log` in an empty directory), and resumes LSN allocation
+  // after the last record on disk. The decoded records, in LSN order, go
+  // to `*records` and the per-segment stats to `*segment_stats` when those
+  // are non-null: restart recovery replays from this one decode.
+  Status Open(std::vector<LogRecord>* records = nullptr, unsigned threads = 1,
+              std::vector<SegmentReadStats>* segment_stats = nullptr);
 
   // Assigns rec->lsn and stages the record for the writer. Thread-safe.
   Status Append(LogRecord* rec);
@@ -192,27 +217,17 @@ class LogManager {
   // Live segment count (tools/tests; also exported as `ivdb_wal_segments`).
   size_t SegmentCount() const;
 
-  // Per-segment decode accounting for ReadLog: how many records and bytes
-  // each segment contributed and how long its decode + CRC pass took (real
-  // time — decode workers are real threads, so there is no Clock seam to
-  // virtualize here). Recovery turns these into the per-segment replay
-  // histogram and flight-recorder spans.
-  struct SegmentReadStats {
-    uint64_t seqno = 0;
-    uint64_t records = 0;
-    uint64_t bytes = 0;
-    uint64_t micros = 0;
-  };
-
   // Reads the full record stream of the segmented log in `dir`, in LSN
-  // order. Segment decode + CRC checking runs on `threads` workers
-  // (0 = auto, 1 = serial); records are merged in seqno order, so the
-  // result is identical for every thread count. Strictness depends on
-  // position: in a *sealed* (non-newest) segment every frame must be whole
-  // and valid and no trailing bytes may remain — rotation fsyncs before
-  // sealing, so any damage there is real corruption and a hard error. The
-  // *newest* segment tolerates a torn or corrupt tail (the crash case) by
-  // stopping at the last whole record. `env` defaults to Env::Default().
+  // order, without opening it for appends (tools, tests and benches; the
+  // engine's restart reads through Open instead). Segment decode + CRC
+  // checking runs on `threads` workers (0 = auto, 1 = serial); records are
+  // merged in seqno order, so the result is identical for every thread
+  // count. Strictness depends on position: in a *sealed* (non-newest)
+  // segment every frame must be whole and valid and no trailing bytes may
+  // remain — rotation fsyncs before sealing, so any damage there is real
+  // corruption and a hard error. The *newest* segment tolerates a torn or
+  // corrupt tail (the crash case) by stopping at the last whole record.
+  // `env` defaults to Env::Default().
   static Status ReadLog(const std::string& dir,
                         std::vector<LogRecord>* records, Env* env = nullptr,
                         unsigned threads = 1,
@@ -272,10 +287,11 @@ class LogManager {
 
   std::string SegmentPath(uint64_t seqno) const;
 
-  // Shared core of ReadLog/ReadTail: decode + CRC-check `names` (ascending
-  // seqno, all in `dir`) on `threads` workers, merge in seqno order, check
-  // LSN density across the result, and drop records below `min_lsn`
-  // (0 = keep all). The last name is decoded tolerantly (torn tail).
+  // The one WAL decoder, shared by Open, ReadLog and ReadTail: decode +
+  // CRC-check `names` (ascending seqno, all in `dir`) on `threads` workers,
+  // merge in seqno order, check LSN density across segment boundaries, and
+  // drop records below `min_lsn` (0 = keep all). The last name is decoded
+  // tolerantly (torn tail), every other one strictly.
   static Status ReadSegmentFiles(const std::string& dir,
                                  const std::vector<std::string>& names,
                                  Env* env, unsigned threads, Lsn min_lsn,

@@ -245,6 +245,89 @@ TEST(BTree, DeserializeCorruptFails) {
   EXPECT_TRUE(restored.Validate().ok());
 }
 
+// SerializeTo-format payload of keys 0, 2, 4, ... (odd keys stay free for
+// later inserts).
+std::string EvenKeyPayload(size_t n) {
+  std::string payload;
+  PutVarint64(&payload, n);
+  for (size_t i = 0; i < n; i++) {
+    PutLengthPrefixed(&payload, Key(static_cast<int>(2 * i)));
+    PutLengthPrefixed(&payload, "v" + std::to_string(i));
+  }
+  return payload;
+}
+
+// The bottom-up reload at every size where the leaf level or the first
+// internal level changes shape: an empty and a lone root leaf, a full root
+// leaf, two leaves, three leaves, kMaxEntries + 2 leaves (one more than a
+// root holds, so two internal nodes), and a deep tree.
+TEST(BTree, BulkLoadRoundTripAtLevelBoundaries) {
+  constexpr size_t kMax = BTree::kMaxEntries;
+  const size_t sizes[] = {0,        1,           BTree::kMinEntries,
+                          kMax,     kMax + 1,    2 * kMax + 1,
+                          (kMax + 1) * kMax + 1, 100000};
+  for (size_t n : sizes) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    const std::string payload = EvenKeyPayload(n);
+    BTree tree;
+    Slice input(payload);
+    ASSERT_TRUE(tree.DeserializeFrom(&input).ok());
+    EXPECT_TRUE(input.empty());
+    Status valid = tree.Validate();
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+    ASSERT_EQ(tree.size(), n);
+    for (size_t i = 0; i < n; i++) {
+      std::string value;
+      ASSERT_TRUE(tree.Get(Key(static_cast<int>(2 * i)), &value)) << i;
+      ASSERT_EQ(value, "v" + std::to_string(i));
+    }
+    std::string reserialized;
+    tree.SerializeTo(&reserialized);
+    EXPECT_EQ(reserialized, payload);
+
+    // The loaded shape must stay valid under ordinary mutation.
+    std::set<int> model;
+    for (size_t i = 0; i < n; i++) model.insert(static_cast<int>(2 * i));
+    Random rng(n + 1);
+    const uint64_t key_space = 2 * n + 2 * kMax;
+    for (int op = 0; op < 10000; op++) {
+      const int k = static_cast<int>(rng.Uniform(key_space));
+      if (rng.Uniform(2) == 0) {
+        tree.Put(Key(k), "p");
+        model.insert(k);
+      } else {
+        EXPECT_EQ(tree.Delete(Key(k)), model.erase(k) == 1) << k;
+      }
+    }
+    valid = tree.Validate();
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+    EXPECT_EQ(tree.size(), model.size());
+  }
+}
+
+TEST(BTree, BulkLoadRejectsKeysOutOfOrderOrDuplicated) {
+  for (bool duplicate : {false, true}) {
+    SCOPED_TRACE(duplicate ? "duplicate key" : "key out of order");
+    std::string payload;
+    PutVarint64(&payload, 300);
+    for (int i = 0; i < 300; i++) {
+      int k = i;
+      if (i == 200) k = duplicate ? 199 : 17;
+      PutLengthPrefixed(&payload, Key(k));
+      PutLengthPrefixed(&payload, "v");
+    }
+    BTree tree;
+    tree.Put("stale", "contents");
+    Slice input(payload);
+    Status s = tree.DeserializeFrom(&input);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(tree.size(), 0u);
+    EXPECT_FALSE(tree.Contains(Key(0)));
+    EXPECT_FALSE(tree.Contains("stale"));
+    EXPECT_TRUE(tree.Validate().ok());
+  }
+}
+
 TEST(BTree, Clear) {
   BTree tree;
   for (int i = 0; i < 500; i++) tree.Put(Key(i), "v");
