@@ -229,6 +229,9 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   }
   std::unique_ptr<Database> db(new Database(std::move(options)));
   IVDB_RETURN_NOT_OK(db->Recover());
+  // Recovery registers views before the log is open and then replays into
+  // their trees; a cleaner's system transaction may join in only now.
+  db->StartGhostCleaners();
   // From here an IVDB_ASSERT/IVDB_INVARIANT failure anywhere in the process
   // writes this engine's flight recorder next to its WAL before aborting.
   SetInvariantHook(&Database::InvariantBlackboxHook, db.get());
@@ -400,11 +403,18 @@ Status Database::RegisterView(ObjectId id, ViewDefinition def, bool populate) {
       tree->Put(key, EncodeRow(row));
     }
   }
-
-  if (options_.start_ghost_cleaner && raw->cleaner != nullptr) {
-    raw->cleaner->Start(options_.ghost_cleaner_interval_micros);
-  }
   return Status::OK();
+}
+
+void Database::StartGhostCleaners() {
+  if (!options_.start_ghost_cleaner) return;
+  ReaderMutexLock guard(&views_mu_);
+  for (const auto& [name, entry] : views_) {
+    // Start is a no-op on a cleaner that already runs.
+    if (entry->cleaner != nullptr) {
+      entry->cleaner->Start(options_.ghost_cleaner_interval_micros);
+    }
+  }
 }
 
 Result<const ViewInfo*> Database::CreateIndexedView(ViewDefinition def) {
@@ -420,6 +430,7 @@ Result<const ViewInfo*> Database::CreateIndexedView(ViewDefinition def) {
   Status s = RegisterView(id, std::move(def), /*populate=*/true);
   txns_->EndQuiesce();
   IVDB_RETURN_NOT_OK(s);
+  StartGhostCleaners();
 
   if (!options_.dir.empty()) {
     IVDB_RETURN_NOT_OK(Checkpoint());
@@ -1682,21 +1693,12 @@ Status Database::Recover() {
 
   // --- Undo: roll back losers (no COMMIT, no END), resuming mid-rollback
   //     transactions from their last CLR's undo_next_lsn. A chain may only
-  //     reach records analysis admitted. LSNs ascend through `records` and
-  //     are dense unless a restart resumed allocation past an image ahead
-  //     of the durable log, so a record's offset from the first LSN finds
-  //     it directly and a binary search covers such a gap. ---
+  //     reach records analysis admitted; `records` ascends by LSN, so a
+  //     binary search finds them. ---
   auto admitted = [&](Lsn lsn) -> const LogRecord* {
-    auto it = records.end();
-    const Lsn first = records.empty() ? kInvalidLsn : records.front().lsn;
-    if (lsn >= first && lsn - first < records.size()) {
-      it = records.begin() + static_cast<ptrdiff_t>(lsn - first);
-    }
-    if (it == records.end() || it->lsn != lsn) {
-      it = std::lower_bound(
-          records.begin(), records.end(), lsn,
-          [](const LogRecord& rec, Lsn target) { return rec.lsn < target; });
-    }
+    auto it = std::lower_bound(
+        records.begin(), records.end(), lsn,
+        [](const LogRecord& rec, Lsn target) { return rec.lsn < target; });
     if (it == records.end() || it->lsn != lsn || build_marker(*it) ||
         skip_record(*it)) {
       return nullptr;

@@ -452,6 +452,10 @@ class Database : public LogApplier, public IndexResolver {
   Status MaintainSecondaryIndexes(Transaction* txn, const TableInfo* info,
                                   const Row* old_row, const Row* new_row);
   Status RegisterView(ObjectId id, ViewDefinition def, bool populate);
+  // With start_ghost_cleaner, starts every aggregate view's cleaner that
+  // is not running yet. Registering a view never starts one: recovery's
+  // views get theirs once Recover has returned.
+  void StartGhostCleaners();
 
   // --- Online view build internals (engine/online_build.cc) ---
   struct OnlineBuildCtx;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "common/env.h"
 #include "common/file_util.h"
@@ -389,6 +391,89 @@ TEST_F(RecoveryTest, RestoredTreesReserializeToTheirImagePayloads) {
     tree->SerializeTo(&restored);
     EXPECT_EQ(restored, payload) << "index " << id;
   }
+}
+
+// Recovery registers the image's views before the log is open and then
+// replays into their trees, so their ghost cleaners start only once Recover
+// has returned. The image holds a ghost (a checkpoint reclaims ghosts only
+// after publishing its image) and a second ghost lives in the log alone;
+// across two crashes the opens succeed, the cleaner reclaims the second
+// ghost through the open log, and the log stays one ascending LSN sequence.
+TEST_F(RecoveryTest, GhostCleanersStartOnlyAfterRecovery) {
+  DatabaseOptions options;
+  options.dir = dir_;
+  options.wal_segment_bytes = 4096;
+  ObjectId view;
+  {
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto db = std::move(opened).value();
+    ObjectId fact = db->CreateTable("sales", SalesSchema(), {0}).value()->id;
+    view = db->CreateIndexedView(RegionView(fact)).value()->id;
+    const char* const regions[] = {"eu", "us", "apac"};
+    for (int i = 0; i < 150; i++) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(db->Insert(txn, "sales", Sale(i, regions[i % 3], i)).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+      db->Forget(txn);
+    }
+    auto drain = [&](int first) {
+      for (int i = first; i < 150; i += 3) {
+        Transaction* txn = db->Begin();
+        ASSERT_TRUE(db->Delete(txn, "sales", {Value::Int64(i)}).ok());
+        ASSERT_TRUE(db->Commit(txn).ok());
+        db->Forget(txn);
+      }
+    };
+    drain(1);  // "us": a ghost the checkpoint image captures
+    ASSERT_TRUE(db->Checkpoint().ok());
+    drain(2);  // "apac": a ghost only the log knows
+    // Crash: no clean shutdown.
+  }
+  auto segments = LogManager::ListSegmentFiles(dir_);
+  ASSERT_TRUE(segments.ok());
+  ASSERT_GE(segments->size(), 2u) << "the log should span several segments";
+
+  options.start_ghost_cleaner = true;
+  for (int round = 0; round < 2; round++) {
+    SCOPED_TRACE("reopen " + std::to_string(round));
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto db = std::move(opened).value();
+    if (round == 0) {
+      const GhostCleanerMetrics* stats = db->ghost_metrics("by_region");
+      ASSERT_NE(stats, nullptr);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (stats->reclaimed->Value() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(stats->reclaimed->Value(), 1u);
+    }
+    EXPECT_TRUE(db->VerifyViewConsistency("by_region").ok());
+    Transaction* txn = db->Begin();
+    ASSERT_TRUE(db->Insert(txn, "sales", Sale(1000 + round, "eu", 1.0)).ok());
+    ASSERT_TRUE(db->Commit(txn).ok());
+    db->Forget(txn);
+    // Crash again.
+  }
+
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(LogManager::ReadLog(dir_, &records).ok());
+  for (size_t i = 1; i < records.size(); i++) {
+    ASSERT_LT(records[i - 1].lsn, records[i].lsn) << "record " << i;
+  }
+  options.start_ghost_cleaner = false;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto db = std::move(opened).value();
+  EXPECT_TRUE(db->VerifyViewConsistency("by_region").ok());
+  EXPECT_EQ(db->GetIndex(view)->size(), 1u) << "only the eu row is left";
+  Transaction* reader = db->Begin();
+  EXPECT_TRUE(db->Get(reader, "sales", {Value::Int64(1000)})->has_value());
+  EXPECT_TRUE(db->Get(reader, "sales", {Value::Int64(1001)})->has_value());
+  EXPECT_TRUE(db->Commit(reader).ok());
 }
 
 TEST_F(RecoveryTest, ViewDefinitionSurvivesViaCheckpoint) {

@@ -9,6 +9,7 @@
 #define IVDB_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <functional>
@@ -21,12 +22,21 @@
 
 namespace ivdb {
 
+// A path under the gtest temp root unique to `owner` in this process. The
+// process id keeps test binaries that ctest runs in parallel apart: under
+// ThreadSanitizer, which disables address randomization, two of them can
+// place their fixtures at the same address.
+inline std::string UniqueTestPath(const std::string& prefix,
+                                  const void* owner) {
+  return ::testing::TempDir() + prefix + "_" + std::to_string(::getpid()) +
+         "_" + std::to_string(reinterpret_cast<uintptr_t>(owner));
+}
+
 // Unique directory under the gtest temp root, removed on destruction.
 class ScopedTempDir {
  public:
   explicit ScopedTempDir(const std::string& prefix) {
-    path_ = ::testing::TempDir() + prefix + "_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this));
+    path_ = UniqueTestPath(prefix, this);
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
   }
@@ -212,8 +222,7 @@ class SalesDbTest : public ::testing::Test {
 class DurableDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "durable_db_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = UniqueTestPath("durable_db_test", this);
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
