@@ -44,7 +44,6 @@
 //   FlightRecorder::flight_mu_  (83)   flight-recorder thread registration
 //                                      and snapshots (Emit itself is
 //                                      lock-free)
-//   TraceRecorder::ring_mu_     (85)   trace ring (EmitTrace under WAL locks)
 //   FaultInjectionEnv::env_mu_  (90)   fault schedule (env ops under seg_mu_)
 //
 // e.g. Commit holds visibility_mu_ (20) while drawing the durable epoch
@@ -110,7 +109,6 @@ enum class LockRank : int {
   kCatalog = 70,
   kMetricsRegistry = 80,
   kFlightRing = 83,
-  kTraceRing = 85,
   kFaultEnv = 90,
 };
 

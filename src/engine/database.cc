@@ -10,7 +10,6 @@
 #include "common/lock_order.h"
 #include "common/logging.h"
 #include "engine/snapshot.h"
-#include "obs/trace.h"
 
 namespace ivdb {
 
@@ -30,12 +29,16 @@ const char kEofGapResource[] = "\x03";
 // and registers its instruments there, so DumpMetrics() sees the whole
 // engine at once.
 LockManager::Options MakeLockOptions(const DatabaseOptions& options,
-                                     obs::MetricsRegistry* registry) {
+                                     obs::MetricsRegistry* registry,
+                                     Clock* clock,
+                                     obs::FlightRecorder* flight) {
   LockManager::Options lock_options;
   lock_options.wait_timeout = options.lock_wait_timeout;
   lock_options.detect_deadlocks = options.detect_deadlocks;
   lock_options.escalation_threshold = options.lock_escalation_threshold;
   lock_options.metrics = registry;
+  lock_options.clock = clock;
+  lock_options.flight = flight;
   return lock_options;
 }
 
@@ -85,7 +88,7 @@ Database::Database(DatabaseOptions options)
       version_chain_p99_gauge_(
           registry_.GetGauge("ivdb_storage_version_chain_p99")),
       flight_(obs::FlightRecorder::Options{.clock = clock_}),
-      locks_(MakeLockOptions(options_, &registry_)) {
+      locks_(MakeLockOptions(options_, &registry_, clock_, &flight_)) {
   ckpt_total_ = registry_.GetCounter("ivdb_ckpt_total");
   ckpt_duration_ = registry_.GetHistogram("ivdb_ckpt_duration_micros");
   ckpt_capture_stall_ =
@@ -141,14 +144,13 @@ Database::Database(DatabaseOptions options)
   log_options.metrics = &registry_;
   log_options.flight = &flight_;
   // Runs once, on the first committer or checkpointer to observe the WAL
-  // poison: flip the gauge, drop a span marker into whatever transaction
-  // that thread was serving, and write the black-box dump — the flight
-  // snapshot takes only flight_mu_ (rank 83) and Env calls (rank 90), both
-  // above every WAL rank, so the dump is lock-order-legal wherever the
-  // poison is observed.
+  // poison: flip the gauge, drop the degraded marker on that thread's lane
+  // (so it shows in the DumpTrace of the transaction it was serving), and
+  // write the black-box dump — the flight snapshot takes only flight_mu_
+  // (rank 83) and Env calls (rank 90), both above every WAL rank, so the
+  // dump is lock-order-legal wherever the poison is observed.
   log_options.on_poison = [this] {
     degraded_gauge_->Set(1);
-    obs::EmitTrace(obs::TraceEventType::kEngineDegraded, 1, 0);
     flight_.EmitInstant(obs::FlightEventType::kDegraded, flight_.NowMicros(),
                         1);
     // An online view build in flight dies with the engine; stamp the dump
@@ -166,7 +168,6 @@ Database::Database(DatabaseOptions options)
   txn_options.metrics = &registry_;
   txn_options.clock = clock_;
   txn_options.flight = &flight_;
-  txn_options.trace_ring_capacity = options_.trace_ring_capacity;
   txn_options.max_active_txns = options_.max_active_txns;
   txn_options.admission_timeout_micros = options_.admission_timeout_micros;
   txn_options.max_txn_lifetime_micros = options_.max_txn_lifetime_micros;
@@ -356,6 +357,7 @@ Status Database::RegisterView(ObjectId id, ViewDefinition def, bool populate) {
   maintainer_options.use_escrow = options_.use_escrow_locks;
   maintainer_options.metrics = &registry_;
   maintainer_options.clock = clock_;
+  maintainer_options.flight = &flight_;
   entry->maintainer = std::make_unique<ViewMaintainer>(
       def, id, fact->schema, dim_schema, this, &locks_, txns_.get(),
       &versions_, maintainer_options);
@@ -516,14 +518,8 @@ Status Database::RunTransaction(const RunTransactionOptions& options,
     bool retrying = retryable && attempt < max_attempts;
     uint64_t backoff =
         retrying ? RetryBackoffMicros(options, attempt, &rng) : 0;
+    const TxnId failed_id = txn != nullptr ? txn->id() : 0;
     if (txn != nullptr) {
-      if (retrying && txn->trace() != nullptr) {
-        // Record the retry decision on the failing attempt's own span log,
-        // before the descriptor goes away.
-        obs::TraceScope scope(txn->trace());
-        obs::EmitTrace(obs::TraceEventType::kTxnRetry,
-                       static_cast<uint64_t>(attempt), backoff);
-      }
       // Cleanup between attempts; `status` is the error the loop reacts to.
       if (txn->state() == TxnState::kActive) (void)Abort(txn);
       Forget(txn);
@@ -534,6 +530,11 @@ Status Database::RunTransaction(const RunTransactionOptions& options,
     }
     txn_retries_->Add();
     stats.backoff_micros_total += backoff;
+    // The backoff span lands in the failed attempt's DumpTrace.
+    if (failed_id != 0) {
+      flight_.Emit(obs::FlightEventType::kTxnRetry, clock_->NowMicros(),
+                   backoff, failed_id, static_cast<uint64_t>(attempt));
+    }
     clock_->SleepMicros(backoff);
   }
   if (result != nullptr) *result = stats;
@@ -543,9 +544,6 @@ Status Database::RunTransaction(const RunTransactionOptions& options,
 Status Database::Commit(Transaction* txn) {
   OwnerGuard latch(txn);
   IVDB_RETURN_NOT_OK(CheckStillActive(txn));
-  // Covers deferred view maintenance below; the TxnManager re-establishes
-  // the scope for the WAL commit path itself.
-  obs::TraceScope trace_scope(txn->trace());
   if (!txn->deferred_changes().empty()) {
     // Commit-time (deferred) maintenance: coalesce this transaction's
     // base-table changes per view, then apply. Failure here dooms the
@@ -814,7 +812,6 @@ Status Database::Insert(Transaction* txn, const std::string& table,
           "DML on a dimension table referenced by an indexed view");
     }
   }
-  obs::TraceScope trace_scope(txn->trace());
   return WithStatementAtomicity(txn, [&]() -> Status {
     std::string key = EncodeKey(row, info->key_columns);
     BTree* tree = GetIndex(info->id);
@@ -863,7 +860,6 @@ Status Database::Update(Transaction* txn, const std::string& table,
           "DML on a dimension table referenced by an indexed view");
     }
   }
-  obs::TraceScope trace_scope(txn->trace());
   return WithStatementAtomicity(txn, [&]() -> Status {
     std::string key = EncodeKey(row, info->key_columns);
     BTree* tree = GetIndex(info->id);
@@ -912,7 +908,6 @@ Status Database::Delete(Transaction* txn, const std::string& table,
           "DML on a dimension table referenced by an indexed view");
     }
   }
-  obs::TraceScope trace_scope(txn->trace());
   return WithStatementAtomicity(txn, [&]() -> Status {
     std::string key = EncodeKeyValues(key_values);
     BTree* tree = GetIndex(info->id);
@@ -956,7 +951,6 @@ Status Database::Delete(Transaction* txn, const std::string& table,
 Result<std::optional<Row>> Database::ReadRow(Transaction* txn,
                                              ObjectId object_id,
                                              const std::string& key) {
-  obs::TraceScope trace_scope(txn->trace());
   BTree* tree = GetIndex(object_id);
   if (tree == nullptr) return Status::NotFound("unknown object");
 
@@ -1016,7 +1010,6 @@ Status Database::LockGapsForWrite(Transaction* txn, ObjectId object_id,
 Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
     Transaction* txn, ObjectId object_id, const std::string& begin,
     const std::string* end, bool key_range_eligible) {
-  obs::TraceScope trace_scope(txn->trace());
   BTree* tree = GetIndex(object_id);
   if (tree == nullptr) return Status::NotFound("unknown object");
   std::vector<std::pair<std::string, Row>> out;
@@ -1371,7 +1364,6 @@ Status Database::Checkpoint() {
                cap.capture_ts);
 
   Status s = [&]() -> Status {
-    obs::TraceScope scope(cap.reader->trace());
     SnapshotImage image;
     image.checkpoint_lsn = cap.checkpoint_lsn;
     image.capture_ts = cap.capture_ts;
@@ -1461,14 +1453,11 @@ Status Database::Checkpoint() {
     // One clock read closes both the retire phase and the whole checkpoint,
     // so the five phases partition ckpt_duration exactly.
     const uint64_t retire_end = clock_->NowMicros();
-    const uint64_t took_micros = retire_end - start_micros;
     ckpt_phase_retire_->Record(retire_end - write_end);
     flight_.Emit(obs::FlightEventType::kCkptRetire, write_end,
                  retire_end - write_end, cap.checkpoint_lsn,
                  segments_before - segments_after);
-    ckpt_duration_->Record(took_micros);
-    obs::EmitTrace(obs::TraceEventType::kCheckpoint, cap.checkpoint_lsn,
-                   took_micros);
+    ckpt_duration_->Record(retire_end - start_micros);
     return Status::OK();
   }();
   txns_->ReleaseCheckpointReader(cap.reader);
@@ -1555,17 +1544,16 @@ Status Database::Recover() {
   // The image loads first. Its file bytes and decoded copy die with this
   // block, before the log is decoded, so they never share memory with the
   // decoded records.
-  Lsn checkpoint_lsn = kInvalidLsn;
-  std::set<TxnId> image_excluded;
+  ImageHorizon horizon;
   if (env_->FileExists(CheckpointPath())) {
     std::string contents;
     IVDB_RETURN_NOT_OK(env_->ReadFileToString(CheckpointPath(), &contents));
     SnapshotImage image;
     IVDB_RETURN_NOT_OK(DecodeSnapshot(contents, &image));
     IVDB_RETURN_NOT_OK(RestoreFromImage(image));
-    checkpoint_lsn = image.checkpoint_lsn;
-    image_excluded.insert(image.active_txns.begin(),
-                          image.active_txns.end());
+    horizon.lsn = image.checkpoint_lsn;
+    horizon.in_flight.insert(image.active_txns.begin(),
+                             image.active_txns.end());
   }
 
   const uint64_t image_end = clock_->NowMicros();
@@ -1587,13 +1575,6 @@ Status Database::Recover() {
                  st.records);
   }
 
-  // A fuzzy image holds every flipped transaction's effects up to
-  // checkpoint_lsn; transactions in flight at capture are excluded from it
-  // and their records must replay even at or below the checkpoint LSN.
-  auto skip_record = [&](const LogRecord& rec) {
-    return rec.lsn <= checkpoint_lsn &&
-           image_excluded.count(rec.txn_id) == 0;
-  };
   auto build_marker = [](const LogRecord& rec) {
     return rec.type == LogRecordType::kViewBuildStart ||
            rec.type == LogRecordType::kViewBuildCommit;
@@ -1608,7 +1589,7 @@ Status Database::Recover() {
     bool system = false;
   };
   std::map<TxnId, TxnEntry> txn_table;
-  Lsn max_lsn = checkpoint_lsn;
+  Lsn max_lsn = horizon.lsn;
   TxnId max_txn = 0;
   uint64_t max_ts = 0;
 
@@ -1621,7 +1602,7 @@ Status Database::Recover() {
       max_ts = std::max(max_ts, rec.timestamp);
       continue;
     }
-    if (skip_record(rec)) continue;
+    if (horizon.Covers(rec)) continue;
     max_lsn = std::max(max_lsn, rec.lsn);
     max_txn = std::max(max_txn, rec.txn_id);
     max_ts = std::max(max_ts, rec.timestamp);
@@ -1637,7 +1618,7 @@ Status Database::Recover() {
   // --- Online view builds: reconstruct the build table (checkpoint image
   //     + start markers above the image's horizon) and create each build's
   //     scratch index so redo of the flip transaction's records has a
-  //     target. A marker at or below checkpoint_lsn needs no handling: the
+  //     target. A marker at or below the horizon needs no handling: the
   //     build was either still alive at capture (its record rode the
   //     image) or already resolved before it. ---
   std::map<ObjectId, ViewBuildState> builds;
@@ -1648,7 +1629,7 @@ Status Database::Recover() {
   std::set<ObjectId> committed_builds;
   for (const LogRecord& rec : records) {
     if (rec.type == LogRecordType::kViewBuildStart &&
-        rec.lsn > checkpoint_lsn) {
+        rec.lsn > horizon.lsn) {
       ViewBuildState b;
       b.id = static_cast<ObjectId>(rec.object_id);
       b.name = rec.key;
@@ -1662,7 +1643,7 @@ Status Database::Recover() {
         IVDB_RETURN_NOT_OK(catalog_.RegisterViewBuild(b));
       }
     } else if (rec.type == LogRecordType::kViewBuildCommit &&
-               rec.lsn > checkpoint_lsn) {
+               rec.lsn > horizon.lsn) {
       committed_builds.insert(static_cast<ObjectId>(rec.object_id));
     }
   }
@@ -1674,7 +1655,7 @@ Status Database::Recover() {
   //     skipped), in-flight transactions' effects are excluded from it
   //     (their records replay from the begin floor up). ---
   for (const LogRecord& rec : records) {
-    if (skip_record(rec)) continue;
+    if (horizon.Covers(rec)) continue;
     switch (rec.type) {
       case LogRecordType::kInsert:
       case LogRecordType::kDelete:
@@ -1700,7 +1681,7 @@ Status Database::Recover() {
         records.begin(), records.end(), lsn,
         [](const LogRecord& rec, Lsn target) { return rec.lsn < target; });
     if (it == records.end() || it->lsn != lsn || build_marker(*it) ||
-        skip_record(*it)) {
+        horizon.Covers(*it)) {
       return nullptr;
     }
     return &*it;

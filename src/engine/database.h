@@ -105,12 +105,6 @@ struct DatabaseOptions {
   // GarbageCollectVersions() can still be called explicitly.
   uint64_t version_gc_interval_micros = 0;
 
-  // Per-transaction span-trace ring size (see obs/trace.h). 0 — the
-  // default — disables tracing entirely; benches and deadlock-diagnosis
-  // runs set a few hundred. Each transaction then carries its own ring and
-  // Transaction::DumpTrace() yields a readable span log.
-  size_t trace_ring_capacity = 0;
-
   // Admission control: maximum concurrently active user transactions
   // (system transactions — ghost maintenance — are exempt). 0 disables the
   // gate. When the engine is full, BeginChecked() queues up to
@@ -379,6 +373,15 @@ class Database : public LogApplier, public IndexResolver {
   // `blackbox-<seq>.json` next to the WAL on degraded-mode entry or an
   // invariant failure.
   obs::FlightRecorder* flight_recorder() { return &flight_; }
+  // One transaction's span log, oldest first, read from the flight
+  // recorder: its events from every thread (lock waits, view maintenance,
+  // ghost creation, commit stages, abort, RunTransaction retries) plus
+  // engine-wide markers recorded on its own lane while it ran, such as
+  // the degraded-mode entry. Works with default options and after Forget,
+  // for as long as the per-thread rings still hold the events.
+  std::string DumpTrace(TxnId txn) const {
+    return flight_.Snap().TxnTrace(txn);
+  }
   // Prometheus text exposition of every instrument in the engine (counters,
   // gauges, histogram summaries with p50/p95/p99). Point-in-time gauges
   // (e.g. ivdb_storage_version_entries) are refreshed by this call.

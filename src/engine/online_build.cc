@@ -35,12 +35,12 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "engine/snapshot.h"
 #include "txn/retry.h"
 
 namespace ivdb {
@@ -93,7 +93,9 @@ struct Database::OnlineBuildCtx {
 
   TransactionManager::CheckpointCapture cap;
   bool reader_released = false;
-  std::set<TxnId> capture_active;  // unflipped at capture: always replay
+  // What the snapshot scan holds: the capture's WAL high-water mark and
+  // the transactions in flight (unflipped) at capture.
+  ImageHorizon horizon;
 
   // Next LSN the catch-up cursor reads. Starts at the capture's
   // redo_start_lsn so transactions straddling the capture point replay
@@ -161,15 +163,8 @@ Status Database::OnlineBuildCatchUpRound(OnlineBuildCtx* ctx) {
   for (const LogRecord& rec : tail) {
     max_seen = std::max(max_seen, rec.lsn);
     bytes += EstimateRecordBytes(rec);
-    // Capture filter — the negation of recovery's skip rule against a
-    // checkpoint image: the snapshot scan already holds the effects of
-    // everything flipped at capture (records at or below the capture's WAL
-    // high-water mark), while transactions in flight at capture replay in
-    // full even below it.
-    if (rec.lsn <= ctx->cap.checkpoint_lsn &&
-        ctx->capture_active.count(rec.txn_id) == 0) {
-      continue;
-    }
+    // The snapshot scan already holds what the horizon covers.
+    if (ctx->horizon.Covers(rec)) continue;
     switch (rec.type) {
       case LogRecordType::kInsert:
       case LogRecordType::kDelete:
@@ -426,8 +421,9 @@ Status Database::RunOnlineBuild(ViewDefinition def, const ViewInfo** out) {
   ctx->cap = txns_->CaptureCheckpoint();
   log_->SetRetainLsnFloor(ctx->cap.redo_start_lsn);
   ctx->replay_lsn = ctx->cap.redo_start_lsn;
-  ctx->capture_active.insert(ctx->cap.active_txns.begin(),
-                             ctx->cap.active_txns.end());
+  ctx->horizon.lsn = ctx->cap.checkpoint_lsn;
+  ctx->horizon.in_flight.insert(ctx->cap.active_txns.begin(),
+                                ctx->cap.active_txns.end());
 
   LogRecord start;
   start.type = LogRecordType::kViewBuildStart;

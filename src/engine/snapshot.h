@@ -1,6 +1,7 @@
 #ifndef IVDB_ENGINE_SNAPSHOT_H_
 #define IVDB_ENGINE_SNAPSHOT_H_
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +63,20 @@ struct SnapshotImage {
   // the offline tools (ivdb_dump) see the same build-state records the
   // running engine had.
   std::vector<ViewBuildState> view_builds;
+};
+
+// The checkpoint-horizon rule, shared by restart recovery (against the
+// checkpoint image) and the online build's WAL-tail catch-up (against its
+// snapshot scan): a record at or below `lsn` is already in the image unless
+// its transaction was in flight at capture — those replay in full, even
+// below it.
+struct ImageHorizon {
+  Lsn lsn = kInvalidLsn;
+  std::set<TxnId> in_flight;
+
+  bool Covers(const LogRecord& rec) const {
+    return rec.lsn <= lsn && in_flight.count(rec.txn_id) == 0;
+  }
 };
 
 // CRC-framed snapshot file codec.

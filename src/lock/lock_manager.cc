@@ -5,7 +5,6 @@
 
 #include "common/lock_order.h"
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace ivdb {
 
@@ -204,10 +203,11 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
   // is never reclaimed.
   guard.Unlock();
 
-  // Recorded before the deadlock probe so a victim's trace still shows what
-  // it was about to wait on when the detector chose it.
-  obs::EmitTrace(obs::TraceEventType::kLockWait, res.object_id,
-                 res.IsObjectLevel() ? 0 : 1);
+  // The wait opens before the deadlock probe, so a victim's lock_wait span
+  // still shows what it was about to wait on when the detector chose it.
+  // Wait accounting goes through the Clock seam (virtual time in tests);
+  // the condition-variable deadline below necessarily stays on real time.
+  const uint64_t wait_start = clock_->NowMicros();
 
   // Publish the wait edge and probe for a cycle in ONE graph_mu_ critical
   // section: every edge is published before its owner's DFS runs, so the
@@ -230,15 +230,16 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
     RollbackRequest(stripe, res, queue, it, is_conversion, restore_mode);
     guard.Unlock();
     metrics_.deadlocks->Add();
-    obs::EmitTrace(obs::TraceEventType::kLockDeadlock, res.object_id);
+    const uint64_t now = clock_->NowMicros();
+    EmitFlight(obs::FlightEventType::kLockWait, wait_start, now - wait_start,
+               txn, res.object_id);
+    EmitFlight(obs::FlightEventType::kLockDeadlock, now, 0, txn,
+               res.object_id);
     return Status::Deadlock(std::string("deadlock acquiring ") +
                             LockModeName(mode) + " on " + res.ToString());
   }
 
   metrics_.waits->Add();
-  // Wait accounting goes through the Clock seam (virtual time in tests);
-  // the condition-variable deadline below necessarily stays on real time.
-  const uint64_t wait_start = clock_->NowMicros();
   const auto deadline =
       std::chrono::steady_clock::now() + options_.wait_timeout;
   bool granted = false;
@@ -267,13 +268,15 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
   const uint64_t waited = clock_->NowMicros() - wait_start;
   metrics_.wait_micros->Add(waited);
   metrics_.wait_latency->Record(waited);
+  EmitFlight(obs::FlightEventType::kLockWait, wait_start, waited, txn,
+             res.object_id);
   if (granted) {
-    obs::EmitTrace(obs::TraceEventType::kLockGrant, res.object_id, waited);
     FinishGrant(txn, res, fresh_request, is_conversion);
     return Status::OK();
   }
   metrics_.timeouts->Add();
-  obs::EmitTrace(obs::TraceEventType::kLockTimeout, res.object_id, waited);
+  EmitFlight(obs::FlightEventType::kLockTimeout, wait_start + waited, 0, txn,
+             res.object_id);
   return Status::TimedOut("lock wait timeout on " + res.ToString());
 }
 
@@ -525,8 +528,8 @@ void LockManager::TryEscalateLocked(TxnId txn, uint32_t object_id) {
   }
   key_counts_.erase({txn, object_id});
   metrics_.escalations->Add();
-  obs::EmitTrace(obs::TraceEventType::kLockEscalation, object_id,
-                 key_locks.size());
+  EmitFlight(obs::FlightEventType::kLockEscalation, clock_->NowMicros(), 0,
+             txn, object_id);
 }
 
 int LockManager::NumHolders(const ResourceId& res) const {

@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "lock/lock_mode.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace ivdb {
@@ -128,6 +129,9 @@ class LockManager {
     // Time source for wait accounting; nullptr => Clock::Default(). Tests
     // and fault/torture harnesses inject a ManualClock for virtual time.
     Clock* clock = nullptr;
+    // Engine flight recorder: lock waits, deadlocks, timeouts and
+    // escalations land on the requesting thread's lane. nullptr disables.
+    obs::FlightRecorder* flight = nullptr;
   };
 
   LockManager() : LockManager(Options{}) {}
@@ -230,6 +234,14 @@ class LockManager {
   // granted immediately. Takes stripes one at a time under graph_mu_.
   void TryEscalateLocked(TxnId txn, uint32_t object_id)
       IVDB_REQUIRES(graph_mu_);
+  // One lock event on the calling thread's flight lane (a = txn, b =
+  // object id); no-op without a recorder.
+  void EmitFlight(obs::FlightEventType type, uint64_t start_micros,
+                  uint64_t dur_micros, TxnId txn, uint32_t object_id) {
+    if (options_.flight != nullptr) {
+      options_.flight->Emit(type, start_micros, dur_micros, txn, object_id);
+    }
+  }
 
   Options options_;
   // Private fallback registry (standalone use); the handles in metrics_

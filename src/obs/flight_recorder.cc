@@ -1,7 +1,10 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 
 namespace ivdb {
 namespace obs {
@@ -59,50 +62,63 @@ void AppendJsonEscaped(const std::string& in, std::string* out) {
   }
 }
 
+// The catalog: wire name and argument keys per FlightEventType, in enum
+// order. An `a` key of "txn" marks the per-transaction types; a null `b`
+// key means the type leaves `b` unused. tools/ivdb_trace mirrors these keys
+// (it links no ivdb library).
+struct CatalogEntry {
+  const char* name;
+  const char* a;
+  const char* b;
+};
+
+constexpr CatalogEntry kCatalog[] = {
+    {"none", "a", "b"},
+    {"commit", "txn", "lsn"},
+    {"stage_staging_wait", "txn", "lsn"},
+    {"stage_batch_assembly", "txn", "lsn"},
+    {"stage_fsync", "txn", "lsn"},
+    {"stage_flip_wait", "txn", "lsn"},
+    {"wal_batch", "first_lsn", "last_lsn"},
+    {"wal_fsync", "lsn", "bytes"},
+    {"ckpt_rotate", "lsn", "arg"},
+    {"ckpt_capture", "lsn", "arg"},
+    {"ckpt_build", "lsn", "arg"},
+    {"ckpt_write", "lsn", "arg"},
+    {"ckpt_retire", "lsn", "arg"},
+    {"recovery_segment", "segment", "records"},
+    {"ghost_pass", "view", "reclaimed"},
+    {"watchdog_pass", "aborted", nullptr},
+    {"degraded", "entered", nullptr},
+    {"view_build", "view", "phase"},
+    {"gc_pass", "unlinked", "freed"},
+    {"txn_begin", "txn", "snapshot_ts"},
+    {"txn_abort", "txn", "undone"},
+    {"txn_retry", "txn", "attempt"},
+    {"lock_wait", "txn", "obj"},
+    {"lock_deadlock", "txn", "obj"},
+    {"lock_timeout", "txn", "obj"},
+    {"lock_escalation", "txn", "obj"},
+    {"view_maintain", "txn", "deltas"},
+    {"ghost_create", "txn", "sys_txn"},
+};
+static_assert(std::size(kCatalog) ==
+                  static_cast<size_t>(FlightEventType::kGhostCreate) + 1,
+              "one catalog entry per FlightEventType");
+
+constexpr CatalogEntry kUnknown = {"unknown", "a", "b"};
+
+const CatalogEntry& Entry(FlightEventType type) {
+  const size_t i = static_cast<size_t>(type);
+  return i < std::size(kCatalog) ? kCatalog[i] : kUnknown;
+}
+
 }  // namespace
 
-const char* FlightEventName(FlightEventType type) {
-  switch (type) {
-    case FlightEventType::kNone:
-      return "none";
-    case FlightEventType::kCommit:
-      return "commit";
-    case FlightEventType::kStageStagingWait:
-      return "stage_staging_wait";
-    case FlightEventType::kStageBatchAssembly:
-      return "stage_batch_assembly";
-    case FlightEventType::kStageFsync:
-      return "stage_fsync";
-    case FlightEventType::kStageFlipWait:
-      return "stage_flip_wait";
-    case FlightEventType::kWalBatch:
-      return "wal_batch";
-    case FlightEventType::kWalFsync:
-      return "wal_fsync";
-    case FlightEventType::kCkptRotate:
-      return "ckpt_rotate";
-    case FlightEventType::kCkptCapture:
-      return "ckpt_capture";
-    case FlightEventType::kCkptBuild:
-      return "ckpt_build";
-    case FlightEventType::kCkptWrite:
-      return "ckpt_write";
-    case FlightEventType::kCkptRetire:
-      return "ckpt_retire";
-    case FlightEventType::kRecoverySegment:
-      return "recovery_segment";
-    case FlightEventType::kGhostPass:
-      return "ghost_pass";
-    case FlightEventType::kWatchdogPass:
-      return "watchdog_pass";
-    case FlightEventType::kDegraded:
-      return "degraded";
-    case FlightEventType::kViewBuildPhase:
-      return "view_build";
-    case FlightEventType::kGcPass:
-      return "gc_pass";
-  }
-  return "unknown";
+const char* FlightEventName(FlightEventType type) { return Entry(type).name; }
+
+bool IsTxnEvent(FlightEventType type) {
+  return std::strcmp(Entry(type).a, "txn") == 0;
 }
 
 FlightRecorder::FlightRecorder(Options options)
@@ -136,11 +152,9 @@ FlightRecorder::Slot* FlightRecorder::RegisterThisThread() {
         break;
       }
     }
-    if (slot == nullptr) {
-      if (count >= max_threads_) {
-        dropped_threads_.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-      }
+    if (slot == nullptr && count >= max_threads_) {
+      dropped_threads_.fetch_add(1, std::memory_order_relaxed);
+    } else if (slot == nullptr) {
       auto fresh = std::make_unique<Slot>();
       fresh->owner = self;
       fresh->ring = std::make_unique<Cell[]>(ring_len_);
@@ -150,6 +164,8 @@ FlightRecorder::Slot* FlightRecorder::RegisterThisThread() {
       slot_count_.store(count + 1, std::memory_order_release);
     }
   }
+  // A refusal is cached too (slot == nullptr): the thread is counted once
+  // and its later emits drop without taking flight_mu_.
   SlotCacheEntry& e = g_slot_cache[g_slot_cache_next % kSlotCacheSize];
   g_slot_cache_next++;
   e.recorder_id = id_;
@@ -256,6 +272,58 @@ std::string FlightRecorder::Snapshot::ToJson() const {
     out.append("]}");
   }
   out.append("]}");
+  return out;
+}
+
+std::string FlightRecorder::Snapshot::TxnTrace(uint64_t txn_id) const {
+  struct Kept {
+    const Event* event;
+    const std::string* lane;
+  };
+  std::vector<Kept> kept;
+  for (const ThreadTrace& lane : threads) {
+    uint64_t first = 0;
+    uint64_t last = 0;
+    for (const Event& e : lane.events) {
+      if (IsTxnEvent(e.type) && e.a == txn_id) {
+        if (first == 0) first = e.seq;
+        last = e.seq;
+      }
+    }
+    if (first == 0) continue;
+    for (const Event& e : lane.events) {
+      if (e.seq < first || e.seq > last) continue;
+      if (!IsTxnEvent(e.type) || e.a == txn_id) {
+        kept.push_back({&e, &lane.name});
+      }
+    }
+  }
+  std::sort(kept.begin(), kept.end(), [](const Kept& x, const Kept& y) {
+    return x.event->seq < y.event->seq;
+  });
+  uint64_t origin = UINT64_MAX;
+  for (const Kept& k : kept) origin = std::min(origin, k.event->start_micros);
+
+  std::string out = "txn " + std::to_string(txn_id) + ": " +
+                    std::to_string(kept.size()) + " event(s)\n";
+  for (const Kept& k : kept) {
+    const Event& e = *k.event;
+    const CatalogEntry& entry = Entry(e.type);
+    char head[48];
+    std::snprintf(head, sizeof(head), "  +%8" PRIu64 "us %-20s",
+                  e.start_micros - origin, entry.name);
+    out.append(head).append(" [").append(*k.lane).append("]");
+    if (!IsTxnEvent(e.type)) {
+      out.append(" ").append(entry.a).append("=").append(std::to_string(e.a));
+    }
+    if (entry.b != nullptr) {
+      out.append(" ").append(entry.b).append("=").append(std::to_string(e.b));
+    }
+    if (e.dur_micros > 0) {
+      out.append(" dur=").append(std::to_string(e.dur_micros)).append("us");
+    }
+    out.push_back('\n');
+  }
   return out;
 }
 

@@ -15,16 +15,17 @@
 namespace ivdb {
 namespace obs {
 
-// Engine-wide flight recorder (see docs/OBSERVABILITY.md §flight-recorder).
+// Engine-wide flight recorder (see docs/OBSERVABILITY.md §2).
 //
 // Always-on, bounded-memory record of what every engine thread — committers,
 // the dedicated WAL writer, the background checkpointer, the ghost cleaner,
 // the watchdog — was doing over the last N events, kept cheap enough to
-// leave running in production. Distinct from the per-transaction
-// TraceRecorder: that one follows a single transaction through the layers;
-// this one keeps a per-thread timeline so a post-mortem (the black-box dump
-// on degraded-mode entry) or a Chrome-trace export (tools/ivdb_trace) can
-// reconstruct the actual interleaving.
+// leave running in production. It is the engine's one event stream: the
+// per-thread timeline feeds the post-mortem (the black-box dump on
+// degraded-mode entry) and the Chrome-trace export (tools/ivdb_trace), and
+// events whose `a` is a transaction id also answer "what did this
+// transaction do": Snapshot::TxnTrace merges one transaction's events
+// across lanes (Database::DumpTrace).
 //
 // Design:
 //   * One fixed ring of event cells per registered thread. Emit() touches
@@ -44,7 +45,8 @@ namespace obs {
 //     renames, and snapshots — never the Emit fast path.
 
 // Span catalog. Events carry two generic uint64 arguments whose meaning
-// depends on the type (mirroring TraceEventType).
+// depends on the type. Types whose `a` is "txn id" are per-transaction
+// events; the rest are engine-wide.
 enum class FlightEventType : uint32_t {
   kNone = 0,
   kCommit = 1,          // a = txn id, b = commit lsn (whole commit span)
@@ -65,11 +67,26 @@ enum class FlightEventType : uint32_t {
   kDegraded,            // a = 1 (instant: degraded-mode entry)
   kViewBuildPhase,      // a = view object id, b = ViewBuildState::Phase
   kGcPass,              // a = versions unlinked, b = entries freed
+  kTxnBegin,            // a = txn id, b = snapshot timestamp (instant)
+  kTxnAbort,            // a = txn id, b = undo records rolled back
+  kTxnRetry,            // a = failed attempt's txn id, b = attempt (1-based);
+                        //   the span is the backoff before the next attempt
+  kLockWait,            // a = txn id, b = object id (queued -> resolved)
+  kLockDeadlock,        // a = txn id, b = object id (instant: victim)
+  kLockTimeout,         // a = txn id, b = object id (instant)
+  kLockEscalation,      // a = txn id, b = object id (instant)
+  kViewMaintain,        // a = txn id, b = aggregate deltas (or projection
+                        //   changes) applied
+  kGhostCreate,         // a = txn id that needed the row, b = id of the
+                        //   system transaction that created it
 };
 
 // Stable wire name for a type ("wal_fsync", "stage_flip_wait", ...), shared
 // by the snapshot JSON and the tools/ivdb_trace exporter.
 const char* FlightEventName(FlightEventType type);
+
+// True for the per-transaction types (those whose `a` is a txn id).
+bool IsTxnEvent(FlightEventType type);
 
 class FlightRecorder {
  public:
@@ -107,6 +124,13 @@ class FlightRecorder {
     // Versioned snapshot JSON — the black-box dump format, and the input
     // format of tools/ivdb_trace.
     std::string ToJson() const;
+
+    // One transaction's timeline, oldest first: its events from every lane
+    // merged by sequence number, plus the engine-wide events recorded on
+    // each of those lanes between the transaction's first and last event
+    // there (e.g. the degraded-mode entry its failing commit caused).
+    // Timestamps print relative to the earliest kept event.
+    std::string TxnTrace(uint64_t txn_id) const;
   };
 
   explicit FlightRecorder(Options options);
@@ -125,8 +149,9 @@ class FlightRecorder {
 
   // Records one span on the calling thread's lane. `start_micros` and
   // `dur_micros` are the caller's Clock-seam measurements. Lock-free after
-  // the thread's first event; drops (and counts) when the lane budget is
-  // exhausted.
+  // the thread's first event. A thread refused a lane (budget exhausted) is
+  // counted once in dropped_threads; its emits then drop, counted in
+  // dropped_events, without taking flight_mu_.
   void Emit(FlightEventType type, uint64_t start_micros, uint64_t dur_micros,
             uint64_t a = 0, uint64_t b = 0);
 

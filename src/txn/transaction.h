@@ -2,14 +2,11 @@
 #define IVDB_TXN_TRANSACTION_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/mutex.h"
 #include "catalog/schema.h"
-#include "obs/trace.h"
 #include "wal/log_record.h"
 
 namespace ivdb {
@@ -107,18 +104,6 @@ class Transaction {
   std::vector<LogRecord>& undo_records() { return undo_records_; }
   std::vector<DeferredChange>& deferred_changes() { return deferred_changes_; }
 
-  // Per-transaction span trace; nullptr when tracing is disabled (the
-  // default). Attached by the TransactionManager at Begin.
-  obs::TraceRecorder* trace() const { return trace_.get(); }
-  void set_trace(std::unique_ptr<obs::TraceRecorder> trace) {
-    trace_ = std::move(trace);
-  }
-  // Human-readable span log for hotspot diagnosis; primarily useful right
-  // after a deadlock/timeout/abort.
-  std::string DumpTrace() const {
-    return trace_ != nullptr ? trace_->Dump() : std::string("trace: off\n");
-  }
-
  private:
   const TxnId id_;
   const uint64_t begin_ts_;
@@ -141,8 +126,6 @@ class Transaction {
 
   // Base-table changes awaiting commit-time view maintenance.
   std::vector<DeferredChange> deferred_changes_;
-
-  std::unique_ptr<obs::TraceRecorder> trace_;
 };
 
 }  // namespace ivdb

@@ -64,14 +64,8 @@ TransactionManager::~TransactionManager() {
   }
 }
 
-// Attaches a trace recorder when enabled and publishes the descriptor.
-// Caller holds active_mu_.
+// Publishes the descriptor. Caller holds active_mu_.
 Transaction* TransactionManager::Register(std::unique_ptr<Transaction> txn) {
-  if (options_.trace_ring_capacity > 0) {
-    txn->set_trace(std::make_unique<obs::TraceRecorder>(
-        options_.trace_ring_capacity, wall_clock_));
-    txn->trace()->Record(obs::TraceEventType::kTxnBegin, txn->id());
-  }
   txn->set_begin_wall_micros(wall_clock_->NowMicros());
   // Pin the snapshot in the reader epoch before the descriptor is handed
   // out: from here until FinishTxn's Leave, no version this begin_ts can
@@ -83,6 +77,14 @@ Transaction* TransactionManager::Register(std::unique_ptr<Transaction> txn) {
   metrics_.begun->Add();
   metrics_.active->Add(1);
   return out;
+}
+
+void TransactionManager::EmitBegin(const Transaction* txn) {
+  if (flight_ != nullptr) {
+    flight_->EmitInstant(obs::FlightEventType::kTxnBegin,
+                         txn->begin_wall_micros(), txn->id(),
+                         txn->begin_ts());
+  }
 }
 
 Transaction* TransactionManager::Begin(ReadMode read_mode, bool gated) {
@@ -120,7 +122,10 @@ Transaction* TransactionManager::Begin(ReadMode read_mode, bool gated) {
   // current high-water mark (it has not written yet); checkpoints use this
   // floor to bound their redo horizon.
   txn->set_begin_floor_lsn(log_manager_->last_lsn());
-  return Register(std::move(txn));
+  Transaction* out = Register(std::move(txn));
+  active_guard.Unlock();
+  EmitBegin(out);
+  return out;
 }
 
 Transaction* TransactionManager::BeginSystem() {
@@ -133,7 +138,10 @@ Transaction* TransactionManager::BeginSystem() {
   auto txn = std::make_unique<Transaction>(id, begin_ts, ReadMode::kLocking,
                                            /*system=*/true);
   txn->set_begin_floor_lsn(log_manager_->last_lsn());
-  return Register(std::move(txn));
+  Transaction* out = Register(std::move(txn));
+  active_guard.Unlock();
+  EmitBegin(out);
+  return out;
 }
 
 Status TransactionManager::AppendBeginIfNeeded(Transaction* txn) {
@@ -207,9 +215,6 @@ Status TransactionManager::Commit(Transaction* txn) {
   if (txn->state() != TxnState::kActive) {
     return Status::InvalidArgument("commit of non-active transaction");
   }
-  // Commit-path events (WAL append, flush join) land in this transaction's
-  // trace even when the caller did not set a scope.
-  obs::TraceScope trace_scope(txn->trace());
   if (!txn->has_writes()) {
     txn->set_commit_ts(txn->begin_ts());
     FinishTxn(txn, TxnState::kCommitted);
@@ -359,7 +364,6 @@ Status TransactionManager::Commit(Transaction* txn) {
                     commit_micros, txn->id(), commit.lsn);
     }
   }
-  obs::EmitTrace(obs::TraceEventType::kTxnCommit, txn->id(), commit_micros);
   return Status::OK();
 }
 
@@ -376,7 +380,6 @@ void TransactionManager::FlipCommittedLocked(Lsn durable_upto) {
     // its as-of-capture_ts image and must not replay its records.
     t->set_flipped();
     clock_.PublishCommitTs(visible_ts);
-    obs::EmitTrace(obs::TraceEventType::kTxnFlip, t->id(), visible_ts);
   }
 }
 
@@ -384,7 +387,8 @@ Status TransactionManager::Abort(Transaction* txn) {
   if (txn->state() != TxnState::kActive) {
     return Status::InvalidArgument("abort of non-active transaction");
   }
-  obs::TraceScope trace_scope(txn->trace());
+  const uint64_t abort_start = wall_clock_->NowMicros();
+  const uint64_t undone = txn->undo_records().size();
   if (txn->has_writes()) {
     // When the WAL is poisoned (engine degraded), CLR appends fail with
     // kUnavailable. The rollback degrades to logical undo in memory only:
@@ -444,7 +448,10 @@ Status TransactionManager::Abort(Transaction* txn) {
   }
   FinishTxn(txn, TxnState::kAborted);
   metrics_.aborted->Add();
-  obs::EmitTrace(obs::TraceEventType::kTxnAbort, txn->id());
+  if (flight_ != nullptr) {
+    flight_->Emit(obs::FlightEventType::kTxnAbort, abort_start,
+                  wall_clock_->NowMicros() - abort_start, txn->id(), undone);
+  }
   return Status::OK();
 }
 

@@ -120,16 +120,13 @@ class TransactionManager {
   struct Options {
     // Unified metrics registry (`ivdb_txn_*`); nullptr => private registry.
     obs::MetricsRegistry* metrics = nullptr;
-    // Time source for commit-latency accounting and trace timestamps;
-    // nullptr => Clock::Default().
+    // Time source for commit-latency accounting and flight-event
+    // timestamps; nullptr => Clock::Default().
     Clock* clock = nullptr;
-    // Engine flight recorder: commit-stage spans and watchdog passes land
-    // on the calling thread's lane. nullptr disables (unit tests that
-    // construct a bare TransactionManager).
+    // Engine flight recorder: begin, commit-stage and abort spans and
+    // watchdog passes land on the calling thread's lane. nullptr disables
+    // (unit tests that construct a bare TransactionManager).
     obs::FlightRecorder* flight = nullptr;
-    // Per-transaction trace ring size (span events); 0 — the default
-    // outside tests/benches — disables tracing entirely.
-    size_t trace_ring_capacity = 0;
     // Admission control: maximum concurrently active *user* transactions
     // (system transactions bypass the gate, like the quiesce gate). 0
     // disables the gate. The gate applies only to gated Begins (the
@@ -294,6 +291,8 @@ class TransactionManager {
   void FinishTxn(Transaction* txn, TxnState final_state);
   Transaction* Register(std::unique_ptr<Transaction> txn)
       IVDB_REQUIRES(active_mu_);
+  // Records the txn_begin flight event; called after active_mu_ is dropped.
+  void EmitBegin(const Transaction* txn);
   void WatchdogLoop();
 
   // Step-3 sequencer: pops flip_queue_ while the head's COMMIT LSN is

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "catalog/schema.h"
-#include "obs/trace.h"
 
 namespace ivdb {
 
@@ -163,7 +162,6 @@ Status GhostCleaner::RunOnce(uint64_t* reclaimed_out) {
   }
   last_pass_errors_.store(errors, std::memory_order_release);
   metrics_.reclaimed->Add(reclaimed);
-  obs::EmitTrace(obs::TraceEventType::kGhostCleanup, view_id_, reclaimed);
   const uint64_t pass_end = clock_->NowMicros();
   const uint64_t prev_end =
       last_pass_end_micros_.exchange(pass_end, std::memory_order_acq_rel);

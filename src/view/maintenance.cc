@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace ivdb {
 
@@ -240,10 +239,12 @@ Row ViewMaintainer::GhostRow(const std::vector<Value>& group_values) const {
   return row;
 }
 
-Status ViewMaintainer::CreateGhost(const std::string& key,
+Status ViewMaintainer::CreateGhost(TxnId owner, const std::string& key,
                                    const std::vector<Value>& group_values) {
   BTree* tree = resolver_->GetIndex(view_id_);
+  const uint64_t start = clock_->NowMicros();
   Transaction* sys = txns_->BeginSystem();
+  const TxnId sys_id = sys->id();
   // Instant-duration attempt only: if the key lock is busy (another creator
   // or an in-flight user transaction), fail back to the caller's retry loop
   // instead of waiting — a blocking wait here could tie a system transaction
@@ -283,8 +284,12 @@ Status ViewMaintainer::CreateGhost(const std::string& key,
                                        });
   if (!s.ok()) return finish(s);
   metrics_.ghosts_created->Add();
-  obs::EmitTrace(obs::TraceEventType::kGhostCreate, view_id_);
-  return finish(Status::OK());
+  s = finish(Status::OK());
+  if (s.ok() && options_.flight != nullptr) {
+    options_.flight->Emit(obs::FlightEventType::kGhostCreate, start,
+                          clock_->NowMicros() - start, owner, sys_id);
+  }
+  return s;
 }
 
 Status ViewMaintainer::ApplyAggregateDelta(Transaction* txn,
@@ -312,7 +317,7 @@ Status ViewMaintainer::ApplyAggregateDelta(Transaction* txn,
   bool locked_and_present = false;
   for (int attempt = 0; attempt < options_.max_apply_attempts; attempt++) {
     if (!tree->Contains(key)) {
-      Status s = CreateGhost(key, delta.group);
+      Status s = CreateGhost(txn->id(), key, delta.group);
       if (s.IsBusy()) {
         backoff(attempt);
         continue;
@@ -346,7 +351,6 @@ Status ViewMaintainer::ApplyAggregateDelta(Transaction* txn,
         tree, escrow_bounds_.empty() ? nullptr : &escrow_bounds_, [&] {
           return txns_->LogIncrement(txn, view_id_, key, delta.deltas);
         }));
-    obs::EmitTrace(obs::TraceEventType::kEscrowIncrement, view_id_);
   } else {
     // Baseline path: exclusive lock, physical before/after images.
     std::string before;
@@ -470,22 +474,28 @@ Status ViewMaintainer::ApplyBaseChange(Transaction* txn,
 Status ViewMaintainer::ApplyBatch(Transaction* txn,
                                   const std::vector<DeferredChange>& batch) {
   if (batch.empty()) return Status::OK();
+  const uint64_t start = clock_->NowMicros();
+  uint64_t applied = batch.size();
   if (def_.kind == ViewKind::kProjection) {
     for (const DeferredChange& change : batch) {
       IVDB_RETURN_NOT_OK(ApplyProjectionChange(txn, change));
     }
-    return Status::OK();
+  } else {
+    std::vector<AggregateDelta> deltas;
+    IVDB_RETURN_NOT_OK(ComputeAggregateDeltasImpl(batch, txn, &deltas));
+    if (batch.size() > 1) {
+      metrics_.deferred_batches->Add();
+      metrics_.deferred_changes_coalesced->Add(batch.size());
+    }
+    for (const AggregateDelta& delta : deltas) {
+      IVDB_RETURN_NOT_OK(ApplyAggregateDelta(txn, delta));
+    }
+    applied = deltas.size();
   }
-  std::vector<AggregateDelta> deltas;
-  IVDB_RETURN_NOT_OK(ComputeAggregateDeltasImpl(batch, txn, &deltas));
-  if (batch.size() > 1) {
-    metrics_.deferred_batches->Add();
-    metrics_.deferred_changes_coalesced->Add(batch.size());
+  if (options_.flight != nullptr) {
+    options_.flight->Emit(obs::FlightEventType::kViewMaintain, start,
+                          clock_->NowMicros() - start, txn->id(), applied);
   }
-  for (const AggregateDelta& delta : deltas) {
-    IVDB_RETURN_NOT_OK(ApplyAggregateDelta(txn, delta));
-  }
-  obs::EmitTrace(obs::TraceEventType::kViewMaintain, view_id_, deltas.size());
   return Status::OK();
 }
 

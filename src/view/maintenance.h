@@ -9,6 +9,7 @@
 #include "catalog/catalog.h"
 #include "common/clock.h"
 #include "lock/lock_manager.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "storage/btree.h"
 #include "storage/increment.h"
@@ -72,8 +73,12 @@ class ViewMaintainer {
     // Unified metrics registry (`ivdb_view_*{view="..."}` instruments);
     // nullptr => the maintainer owns a private registry.
     obs::MetricsRegistry* metrics = nullptr;
-    // Time source for the stabilize-loop backoff; nullptr => Clock::Default().
+    // Time source for the stabilize-loop backoff and flight-event
+    // timestamps; nullptr => Clock::Default().
     Clock* clock = nullptr;
+    // Engine flight recorder: view_maintain and ghost_create spans land on
+    // the maintaining thread's lane. nullptr disables.
+    obs::FlightRecorder* flight = nullptr;
   };
 
   ViewMaintainer(ViewDefinition definition, ObjectId view_id,
@@ -132,8 +137,9 @@ class ViewMaintainer {
 
   Status ApplyAggregateDelta(Transaction* txn, const AggregateDelta& delta);
   Status ApplyProjectionChange(Transaction* txn, const DeferredChange& change);
-  // Creates a committed ghost row for `key` via a system transaction.
-  Status CreateGhost(const std::string& key,
+  // Creates a committed ghost row for `key` via a system transaction, on
+  // behalf of user transaction `owner`.
+  Status CreateGhost(TxnId owner, const std::string& key,
                      const std::vector<Value>& group_values);
   Row GhostRow(const std::vector<Value>& group_values) const;
 

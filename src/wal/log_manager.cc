@@ -10,7 +10,6 @@
 #include "common/invariant.h"
 #include "common/lock_order.h"
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace ivdb {
 
@@ -313,7 +312,6 @@ Status LogManager::Append(LogRecord* rec) {
   metrics_.records_appended->Add();
   metrics_.bytes_appended->Add(frame_bytes);
   appended_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  obs::EmitTrace(obs::TraceEventType::kWalAppend, rec->lsn, frame_bytes);
   return Status::OK();
 }
 
@@ -347,15 +345,13 @@ Status LogManager::Flush(Lsn upto) {
   }
   flush_waiters_.fetch_sub(1, std::memory_order_relaxed);
   if (!result.ok()) {
-    // Fired here — on the failing committer's thread, inside its trace
-    // scope — not on the writer thread, so the degraded-mode marker lands
-    // in the transaction that surfaces the failure.
+    // Fired here — on the failing committer's thread, not on the writer
+    // thread — so the degraded-mode marker lands on the lane of the
+    // transaction that surfaces the failure.
     FirePendingPoisonCallback();
   }
   IVDB_RETURN_NOT_OK(result);
-  const uint64_t waited = clock_->NowMicros() - flush_start;
-  metrics_.flush_wait_latency->Record(waited);
-  obs::EmitTrace(obs::TraceEventType::kWalFlushJoin, upto, waited);
+  metrics_.flush_wait_latency->Record(clock_->NowMicros() - flush_start);
   return Status::OK();
 }
 
@@ -703,8 +699,8 @@ void LogManager::Poison() {
 void LogManager::PoisonStagedLocked(Status cause) {
   if (staged_error_.ok()) staged_error_ = std::move(cause);
   if (!poisoned_.exchange(true, std::memory_order_acq_rel)) {
-    // Defer the callback: the writer thread has no transaction context, so
-    // the first waiter to observe the poison fires it from its own scope.
+    // Defer the callback: the writer thread serves no transaction, so the
+    // first waiter to observe the poison fires it from its own thread.
     poison_callback_pending_.store(true, std::memory_order_release);
   }
   flush_cv_.NotifyAll();

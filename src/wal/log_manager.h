@@ -64,7 +64,7 @@ struct LogManagerOptions {
   Clock* clock = nullptr;
   // Invoked exactly once, on the transition into the poisoned (degraded)
   // state — see Poison(). The engine hooks this to flip its degraded gauge
-  // and emit the `engine.degraded` trace event. Never runs on the writer
+  // and emit the `degraded` flight event. Never runs on the writer
   // thread: a writer-side failure defers it to the first committer or
   // checkpointer that observes the poison. Keep it cheap and do not call
   // back into the log manager.

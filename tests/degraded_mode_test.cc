@@ -170,7 +170,6 @@ TEST_F(DegradedModeTest, DegradeDropsSpanIntoFailingCommittersTrace) {
   options.dir = dir_;
   options.sync = SyncMode::kFsync;
   options.env = &env;
-  options.trace_ring_capacity = 64;
   auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto db = std::move(opened).value();
@@ -181,10 +180,15 @@ TEST_F(DegradedModeTest, DegradeDropsSpanIntoFailingCommittersTrace) {
   ASSERT_TRUE(db->Insert(failing, "sales", Sale(1, "eu", 10.0)).ok());
   ASSERT_FALSE(db->Commit(failing).ok());
 
-  // The poison callback ran on the committing thread, inside its trace
-  // scope: the transition marker lands in this transaction's span log.
-  std::string trace = failing->DumpTrace();
-  EXPECT_NE(trace.find("engine.degraded"), std::string::npos) << trace;
+  // The poison callback ran on the committing thread while the
+  // transaction ran there: the transition marker lands in its span log,
+  // ahead of the rollback the failed commit triggered.
+  std::string trace = db->DumpTrace(failing->id());
+  size_t p_degraded = trace.find("degraded");
+  size_t p_abort = trace.find("txn_abort");
+  ASSERT_NE(p_degraded, std::string::npos) << trace;
+  ASSERT_NE(p_abort, std::string::npos) << trace;
+  EXPECT_LT(p_degraded, p_abort) << trace;
 }
 
 // Degraded-mode entry is the black-box moment: the engine must leave a

@@ -111,8 +111,42 @@ TEST(FlightRecorder, LaneBudgetExhaustionCountsDrops) {
   extra.join();
   FlightRecorder::Snapshot snap = rec.Snap();
   EXPECT_EQ(snap.threads.size(), 1u);
-  EXPECT_GE(snap.dropped_threads, 1u);
+  EXPECT_EQ(snap.dropped_threads, 1u);
   EXPECT_EQ(snap.dropped_events, 2u);
+}
+
+// Each thread past the budget is refused once: its later emits drop (and
+// count) without registering again.
+TEST(FlightRecorder, LaneBudgetCountsEachRefusedThreadOnce) {
+  ManualClock clock;
+  FlightRecorder::Options options = SmallOptions(&clock, /*events=*/16);
+  options.max_threads = 2;
+  FlightRecorder rec(options);
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 10;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&] {
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kEvents; i++) {
+        rec.Emit(FlightEventType::kCommit, 1, 1);
+      }
+      // Stay live until every thread has emitted, so no thread id is
+      // recycled into a refused thread's place.
+      finished.fetch_add(1);
+      while (finished.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  FlightRecorder::Snapshot snap = rec.Snap();
+  ASSERT_EQ(snap.threads.size(), 2u);
+  EXPECT_EQ(snap.threads[0].events.size(), size_t{kEvents});
+  EXPECT_EQ(snap.threads[1].events.size(), size_t{kEvents});
+  EXPECT_EQ(snap.dropped_threads, 2u);
+  EXPECT_EQ(snap.dropped_events, 2u * kEvents);
 }
 
 // Snapshots racing live emitters: every drained cell must be internally
@@ -199,6 +233,35 @@ TEST(FlightRecorder, SnapshotJsonCarriesFormatVersionAndEvents) {
   EXPECT_NE(json.find("\"b\":9"), std::string::npos) << json;
 }
 
+// One transaction's span log: its events from every lane, merged by
+// sequence number, plus the engine-wide markers each of its lanes recorded
+// between its first and last event there.
+TEST(FlightRecorderTxnTrace, MergesLanesAndKeepsMarkersWhileItRan) {
+  ManualClock clock;
+  FlightRecorder rec(SmallOptions(&clock, /*events=*/16));
+  rec.SetThreadName("owner");
+  rec.EmitInstant(FlightEventType::kDegraded, 100, 1);  // before: dropped
+  rec.EmitInstant(FlightEventType::kTxnBegin, 110, /*txn=*/7, 55);
+  rec.EmitInstant(FlightEventType::kTxnBegin, 111, /*txn=*/8, 56);
+  rec.EmitInstant(FlightEventType::kDegraded, 120, 1);  // while 7 ran
+  rec.Emit(FlightEventType::kViewMaintain, 130, 4, /*txn=*/7, 1);
+  std::thread other([&rec] {
+    rec.SetThreadName("other");
+    rec.EmitInstant(FlightEventType::kDegraded, 135, 1);  // not 7's lane yet
+    rec.Emit(FlightEventType::kTxnAbort, 140, 5, /*txn=*/7, 2);
+  });
+  other.join();
+  rec.EmitInstant(FlightEventType::kDegraded, 150, 1);  // after: dropped
+
+  EXPECT_EQ(rec.Snap().TxnTrace(7),
+            "txn 7: 4 event(s)\n"
+            "  +       0us txn_begin            [owner] snapshot_ts=55\n"
+            "  +      10us degraded             [owner] entered=1\n"
+            "  +      20us view_maintain        [owner] deltas=1 dur=4us\n"
+            "  +      30us txn_abort            [other] undone=2 dur=5us\n");
+  EXPECT_EQ(rec.Snap().TxnTrace(9), "txn 9: 0 event(s)\n");
+}
+
 TEST(FlightEventNames, StableWireNames) {
   EXPECT_STREQ(FlightEventName(FlightEventType::kCommit), "commit");
   EXPECT_STREQ(FlightEventName(FlightEventType::kStageFsync), "stage_fsync");
@@ -207,6 +270,13 @@ TEST(FlightEventNames, StableWireNames) {
   EXPECT_STREQ(FlightEventName(FlightEventType::kRecoverySegment),
                "recovery_segment");
   EXPECT_STREQ(FlightEventName(FlightEventType::kDegraded), "degraded");
+  EXPECT_STREQ(FlightEventName(FlightEventType::kLockWait), "lock_wait");
+  EXPECT_STREQ(FlightEventName(FlightEventType::kGhostCreate),
+               "ghost_create");
+  EXPECT_TRUE(IsTxnEvent(FlightEventType::kCommit));
+  EXPECT_TRUE(IsTxnEvent(FlightEventType::kTxnRetry));
+  EXPECT_FALSE(IsTxnEvent(FlightEventType::kDegraded));
+  EXPECT_FALSE(IsTxnEvent(FlightEventType::kGhostPass));
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 
 #include "common/clock.h"
 #include "common/mutex.h"
-#include "obs/trace.h"
 #include "test_util.h"
 
 namespace ivdb {
@@ -95,17 +94,6 @@ TEST(RetryBackoff, ScheduleIsDeterministicPerSeed) {
   EXPECT_TRUE(any_difference) << "different seeds produced identical jitter";
 }
 
-TEST(RetryBackoff, TxnRetrySpanFormat) {
-  // The span RunTransaction drops into a failing attempt's trace ring.
-  obs::TraceRecorder recorder(8);
-  obs::TraceScope scope(&recorder);
-  obs::EmitTrace(obs::TraceEventType::kTxnRetry, 3, 250);
-  std::string dump = recorder.Dump();
-  EXPECT_NE(dump.find("txn.retry"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("attempt=3"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("backoff=250us"), std::string::npos) << dump;
-}
-
 // --- RunTransaction end to end ---
 
 using RunTransactionTest = SalesDbTest;
@@ -172,6 +160,45 @@ TEST_F(RunTransactionTest, NonRetryableStatusReturnsImmediately) {
   Transaction* reader = db_->Begin();
   EXPECT_FALSE(db_->Get(reader, "sales", {Value::Int64(7)})->has_value());
   EXPECT_TRUE(db_->Commit(reader).ok());
+}
+
+TEST(RunTransactionClock, FailedAttemptDumpShowsRetryAndBackoff) {
+  ManualClock clock(1000);
+  DatabaseOptions db_options;
+  db_options.clock = &clock;
+  auto db = std::move(Database::Open(db_options)).value();
+  ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
+
+  RunTransactionOptions options;
+  options.max_attempts = 2;
+  options.backoff_base_micros = 250;
+  options.jitter = 0;
+  std::vector<TxnId> attempts;
+  RunTransactionResult result;
+  Status s = db->RunTransaction(
+      options,
+      [&](Transaction* txn) -> Status {
+        attempts.push_back(txn->id());
+        IVDB_RETURN_NOT_OK(db->Insert(txn, "sales", Sale(1, "eu", 10.0)));
+        if (attempts.size() == 1) return Status::Deadlock("synthetic");
+        return Status::OK();
+      },
+      &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_EQ(result.backoff_micros_total, 250u);
+
+  // The failed attempt rolled back, then backed off: its span log ends
+  // with the retry, whose span is the backoff before attempt 2.
+  std::string dump = db->DumpTrace(attempts[0]);
+  size_t p_abort = dump.find("txn_abort");
+  size_t p_retry = dump.find("txn_retry");
+  ASSERT_NE(p_abort, std::string::npos) << dump;
+  ASSERT_NE(p_retry, std::string::npos) << dump;
+  EXPECT_LT(p_abort, p_retry);
+  EXPECT_NE(dump.find("attempt=1 dur=250us", p_retry), std::string::npos)
+      << dump;
+  EXPECT_EQ(db->DumpTrace(attempts[1]).find("txn_retry"), std::string::npos);
 }
 
 TEST(RunTransactionClock, ManualClockPinsBackoffSchedule) {

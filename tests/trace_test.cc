@@ -1,82 +1,23 @@
+// Per-transaction span logs (Database::DumpTrace), read from the always-on
+// flight recorder: with default options, every transaction's lock waits,
+// view maintenance, commit stages and abort come back merged across the
+// threads that recorded them, in emission order, even after Forget.
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "engine/database.h"
-#include "obs/trace.h"
 
 using namespace std::chrono_literals;
 
 namespace ivdb {
 namespace {
-
-TEST(TraceRecorder, DisabledRecordsNothing) {
-  obs::TraceRecorder rec(0);
-  EXPECT_FALSE(rec.enabled());
-  rec.Record(obs::TraceEventType::kTxnBegin, 1);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(TraceRecorder, RingWrapsKeepingNewest) {
-  ManualClock clock(1000);
-  obs::TraceRecorder rec(4, &clock);
-  for (uint64_t i = 0; i < 10; i++) {
-    rec.Record(obs::TraceEventType::kWalAppend, /*lsn=*/i, /*bytes=*/32);
-    clock.Advance(5);
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  std::string dump = rec.Dump();
-  EXPECT_NE(dump.find("trace: 10 event(s), 6 dropped"), std::string::npos)
-      << dump;
-  // Only the newest four survive, oldest first.
-  EXPECT_EQ(dump.find("lsn=5"), std::string::npos) << dump;
-  size_t p6 = dump.find("lsn=6");
-  size_t p9 = dump.find("lsn=9");
-  EXPECT_NE(p6, std::string::npos) << dump;
-  EXPECT_NE(p9, std::string::npos) << dump;
-  EXPECT_LT(p6, p9);
-}
-
-TEST(TraceRecorder, TimestampsRelativeToFirstEvent) {
-  ManualClock clock(500000);
-  obs::TraceRecorder rec(8, &clock);
-  rec.Record(obs::TraceEventType::kTxnBegin, 7);
-  clock.Advance(123);
-  rec.Record(obs::TraceEventType::kTxnCommit, 7, 99);
-  std::string dump = rec.Dump();
-  EXPECT_NE(dump.find("+       0us txn.begin"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("+     123us txn.commit"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("took=99us"), std::string::npos) << dump;
-}
-
-TEST(TraceScope, NestsAndRestores) {
-  EXPECT_EQ(obs::CurrentTrace(), nullptr);
-  obs::TraceRecorder outer(4), inner(4);
-  {
-    obs::TraceScope a(&outer);
-    EXPECT_EQ(obs::CurrentTrace(), &outer);
-    {
-      obs::TraceScope b(&inner);
-      EXPECT_EQ(obs::CurrentTrace(), &inner);
-      obs::EmitTrace(obs::TraceEventType::kGhostCreate, 3);
-    }
-    EXPECT_EQ(obs::CurrentTrace(), &outer);
-  }
-  EXPECT_EQ(obs::CurrentTrace(), nullptr);
-  EXPECT_EQ(inner.size(), 1u);
-  EXPECT_EQ(outer.size(), 0u);
-  // EmitTrace with no scope active must be a safe no-op.
-  obs::EmitTrace(obs::TraceEventType::kGhostCreate, 3);
-}
-
-// --- Engine-level tracing ---
 
 Schema SalesSchema() {
   return Schema({{"id", TypeId::kInt64},
@@ -88,56 +29,83 @@ Row Sale(int64_t id, int64_t grp, int64_t amount) {
   return {Value::Int64(id), Value::Int64(grp), Value::Int64(amount)};
 }
 
-TEST(EngineTrace, CommitProducesReadableSpanLog) {
-  DatabaseOptions options;
-  options.trace_ring_capacity = 64;
+std::unique_ptr<Database> OpenWithView(DatabaseOptions options = {}) {
   auto db = std::move(Database::Open(std::move(options))).value();
   auto table = db->CreateTable("sales", SalesSchema(), {0});
-  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(table.ok());
   ViewDefinition def;
   def.name = "by_grp";
   def.kind = ViewKind::kAggregate;
   def.fact_table = table.value()->id;
   def.group_by = {1};
   def.aggregates = {{AggregateFunction::kSum, 2, "total"}};
-  ASSERT_TRUE(db->CreateIndexedView(def).ok());
+  EXPECT_TRUE(db->CreateIndexedView(def).ok());
+  return db;
+}
 
+// The dump line holding the first `type` event, or "" if none.
+std::string LineOf(const std::string& dump, const std::string& type) {
+  size_t at = dump.find(" " + type + " ");
+  if (at == std::string::npos) return "";
+  size_t begin = dump.rfind('\n', at) + 1;
+  return dump.substr(begin, dump.find('\n', at) - begin);
+}
+
+TEST(EngineTrace, CommitProducesReadableSpanLog) {
+  auto db = OpenWithView();
   Transaction* txn = db->Begin();
+  const TxnId id = txn->id();
   ASSERT_TRUE(db->Insert(txn, "sales", Sale(1, 0, 5)).ok());
   ASSERT_TRUE(db->Commit(txn).ok());
-  std::string dump = txn->DumpTrace();
   db->Forget(txn);
+  std::string dump = db->DumpTrace(id);
 
-  // One transaction's whole life, oldest first: begin, the insert's WAL
-  // append, view maintenance, commit.
-  size_t p_begin = dump.find("txn.begin");
-  size_t p_wal = dump.find("wal.append");
-  size_t p_view = dump.find("view.maintain");
-  size_t p_commit = dump.find("txn.commit");
+  // One transaction's whole life, oldest first: begin, view maintenance
+  // (one aggregate delta, after the ghost its new group needed), commit.
+  size_t p_begin = dump.find("txn_begin");
+  size_t p_ghost = dump.find("ghost_create");
+  size_t p_view = dump.find("view_maintain");
+  size_t p_commit = dump.find(" commit ");
   EXPECT_NE(p_begin, std::string::npos) << dump;
-  EXPECT_NE(p_wal, std::string::npos) << dump;
+  EXPECT_NE(p_ghost, std::string::npos) << dump;
   EXPECT_NE(p_view, std::string::npos) << dump;
   EXPECT_NE(p_commit, std::string::npos) << dump;
-  EXPECT_LT(p_begin, p_wal);
+  EXPECT_LT(p_begin, p_ghost);
+  EXPECT_LT(p_ghost, p_view);
   EXPECT_LT(p_view, p_commit);
+  EXPECT_NE(LineOf(dump, "view_maintain").find("deltas=1"), std::string::npos)
+      << dump;
 }
 
-TEST(EngineTrace, DisabledByDefault) {
+TEST(EngineTrace, OnByDefaultForEveryTransaction) {
   auto db = std::move(Database::Open(DatabaseOptions())).value();
   ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
-  Transaction* txn = db->Begin();
-  ASSERT_TRUE(db->Insert(txn, "sales", Sale(1, 0, 5)).ok());
-  ASSERT_TRUE(db->Commit(txn).ok());
-  EXPECT_EQ(txn->trace(), nullptr);
-  EXPECT_EQ(txn->DumpTrace(), "trace: off\n");
-  db->Forget(txn);
+  Transaction* first = db->Begin();
+  Transaction* second = db->Begin();
+  const TxnId first_id = first->id();
+  ASSERT_TRUE(db->Insert(first, "sales", Sale(1, 0, 5)).ok());
+  ASSERT_TRUE(db->Insert(second, "sales", Sale(2, 0, 5)).ok());
+  ASSERT_TRUE(db->Commit(first).ok());
+  ASSERT_TRUE(db->Commit(second).ok());
+  db->Forget(first);
+  db->Forget(second);
+
+  // Interleaved on one lane, each dump keeps only its own transaction's
+  // events: one begin and one commit span with its four stages.
+  std::string dump = db->DumpTrace(first_id);
+  EXPECT_NE(dump.find("txn " + std::to_string(first_id) + ": 6 event(s)"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("stage_fsync"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("txn_begin"), dump.rfind("txn_begin")) << dump;
+  // An id that never ran has an empty log.
+  EXPECT_NE(db->DumpTrace(999999).find("0 event(s)"), std::string::npos);
 }
 
-// The diagnosis scenario the ring exists for: a deadlock victim's dump
-// shows what it held and what it was waiting on when the detector fired.
+// The diagnosis scenario the span log exists for: a deadlock victim's dump
+// shows what it was waiting on when the detector chose it, then its abort.
 TEST(EngineTrace, DeadlockVictimDumpShowsDeadlock) {
   DatabaseOptions options;
-  options.trace_ring_capacity = 128;
   options.lock_wait_timeout = 5000ms;  // detector, not timeout, must fire
   auto db = std::move(Database::Open(std::move(options))).value();
   ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
@@ -150,8 +118,8 @@ TEST(EngineTrace, DeadlockVictimDumpShowsDeadlock) {
   // Two threads update rows 0 and 1 in opposite orders, rendezvousing after
   // the first update so both hold one row before requesting the other.
   std::atomic<int> holding{0};
-  std::vector<std::string> victim_dumps;
-  std::mutex dumps_mu;
+  std::vector<TxnId> victims;
+  std::mutex victims_mu;
   auto worker = [&](int64_t first, int64_t second) {
     Transaction* txn = db->Begin();
     ASSERT_TRUE(db->Update(txn, "sales", Sale(first, 0, 1)).ok());
@@ -162,8 +130,8 @@ TEST(EngineTrace, DeadlockVictimDumpShowsDeadlock) {
       EXPECT_TRUE(db->Commit(txn).ok());
     } else {
       if (txn->state() == TxnState::kActive) (void)db->Abort(txn);
-      std::lock_guard<std::mutex> guard(dumps_mu);
-      victim_dumps.push_back(txn->DumpTrace());
+      std::lock_guard<std::mutex> guard(victims_mu);
+      victims.push_back(txn->id());
     }
     db->Forget(txn);
   };
@@ -172,14 +140,52 @@ TEST(EngineTrace, DeadlockVictimDumpShowsDeadlock) {
   t1.join();
   t2.join();
 
-  ASSERT_GE(victim_dumps.size(), 1u);
-  for (const std::string& dump : victim_dumps) {
-    EXPECT_NE(dump.find("lock.wait"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("lock.deadlock"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("txn.abort"), std::string::npos) << dump;
+  ASSERT_GE(victims.size(), 1u);
+  for (TxnId victim : victims) {
+    std::string dump = db->DumpTrace(victim);
+    size_t p_wait = dump.find("lock_wait");
+    size_t p_deadlock = dump.find("lock_deadlock");
+    size_t p_abort = dump.find("txn_abort");
+    ASSERT_NE(p_wait, std::string::npos) << dump;
+    ASSERT_NE(p_deadlock, std::string::npos) << dump;
+    ASSERT_NE(p_abort, std::string::npos) << dump;
+    EXPECT_LT(p_wait, p_deadlock) << dump;
+    EXPECT_LT(p_deadlock, p_abort) << dump;
   }
   EXPECT_EQ(db->lock_metrics().timeouts->Value(), 0u);
   EXPECT_GE(db->lock_metrics().deadlocks->Value(), 1u);
+}
+
+// An abort issued from another thread lands on that thread's lane; the dump
+// merges it with the owner's events by sequence number.
+TEST(EngineTrace, AbortFromAnotherThreadMergesLanes) {
+  auto db = OpenWithView();
+  db->flight_recorder()->SetThreadName("owner");
+  Transaction* txn = db->Begin();
+  const TxnId id = txn->id();
+  ASSERT_TRUE(db->Insert(txn, "sales", Sale(1, 0, 5)).ok());
+  std::thread aborter([&] {
+    db->flight_recorder()->SetThreadName("aborter");
+    EXPECT_TRUE(db->Abort(txn).ok());
+  });
+  aborter.join();
+  db->Forget(txn);
+
+  std::string dump = db->DumpTrace(id);
+  size_t p_begin = dump.find("txn_begin");
+  size_t p_view = dump.find("view_maintain");
+  size_t p_abort = dump.find("txn_abort");
+  ASSERT_NE(p_begin, std::string::npos) << dump;
+  ASSERT_NE(p_view, std::string::npos) << dump;
+  ASSERT_NE(p_abort, std::string::npos) << dump;
+  EXPECT_LT(p_begin, p_view);
+  EXPECT_LT(p_view, p_abort);
+  EXPECT_NE(LineOf(dump, "txn_begin").find("[owner]"), std::string::npos)
+      << dump;
+  // The base-table insert and the view increment were rolled back.
+  std::string abort_line = LineOf(dump, "txn_abort");
+  EXPECT_NE(abort_line.find("[aborter]"), std::string::npos) << dump;
+  EXPECT_NE(abort_line.find("undone=2"), std::string::npos) << dump;
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 // microsecond timestamps, and carries each event's arguments under
 // type-aware keys — commit stage spans and WAL batch/fsync spans both carry
 // the LSN, so a commit can be visually correlated with the exact writer
-// batch that made it durable.
+// batch that made it durable, and every per-transaction span (lock waits,
+// view maintenance, ghost creation, abort, retry) carries the txn id it
+// shares with that transaction's commit span.
 //
 // Self-contained on purpose (no ivdb libs): it must keep working on a
 // snapshot file even when the engine that wrote it cannot be rebuilt.
@@ -255,44 +257,60 @@ void AppendEscaped(const std::string& raw, std::string* out) {
 }
 
 // Type-aware argument keys: the generic (a, b) payload of each flight event
-// decoded per the FlightEventType catalog (obs/flight_recorder.h).
+// named per the FlightEventType catalog (obs/flight_recorder.cc). A null
+// `b` key means the type leaves b unused; unknown types keep "a"/"b".
+struct ArgKeys {
+  const char* type;
+  const char* a;
+  const char* b;
+};
+
+constexpr ArgKeys kArgKeys[] = {
+    {"commit", "txn", "lsn"},
+    {"stage_staging_wait", "txn", "lsn"},
+    {"stage_batch_assembly", "txn", "lsn"},
+    {"stage_fsync", "txn", "lsn"},
+    {"stage_flip_wait", "txn", "lsn"},
+    {"wal_batch", "first_lsn", "last_lsn"},
+    {"wal_fsync", "lsn", "bytes"},
+    {"ckpt_rotate", "lsn", "arg"},
+    {"ckpt_capture", "lsn", "arg"},
+    {"ckpt_build", "lsn", "arg"},
+    {"ckpt_write", "lsn", "arg"},
+    {"ckpt_retire", "lsn", "arg"},
+    {"recovery_segment", "segment", "records"},
+    {"ghost_pass", "view", "reclaimed"},
+    {"watchdog_pass", "aborted", nullptr},
+    {"degraded", "entered", nullptr},
+    {"view_build", "view", "phase"},
+    {"gc_pass", "unlinked", "freed"},
+    {"txn_begin", "txn", "snapshot_ts"},
+    {"txn_abort", "txn", "undone"},
+    {"txn_retry", "txn", "attempt"},
+    {"lock_wait", "txn", "obj"},
+    {"lock_deadlock", "txn", "obj"},
+    {"lock_timeout", "txn", "obj"},
+    {"lock_escalation", "txn", "obj"},
+    {"view_maintain", "txn", "deltas"},
+    {"ghost_create", "txn", "sys_txn"},
+};
+
 void AppendArgs(const std::string& type, uint64_t a, uint64_t b,
                 std::string* out) {
-  const char* key_a = "a";
-  const char* key_b = "b";
-  bool only_a = false;
-  if (type == "commit" || type.rfind("stage_", 0) == 0) {
-    key_a = "txn";
-    key_b = "lsn";
-  } else if (type == "wal_batch") {
-    key_a = "first_lsn";
-    key_b = "last_lsn";
-  } else if (type == "wal_fsync") {
-    key_a = "lsn";
-    key_b = "bytes";
-  } else if (type.rfind("ckpt_", 0) == 0) {
-    key_a = "lsn";
-    key_b = "arg";
-  } else if (type == "recovery_segment") {
-    key_a = "segment";
-    key_b = "records";
-  } else if (type == "ghost_pass") {
-    key_a = "view";
-    key_b = "reclaimed";
-  } else if (type == "watchdog_pass") {
-    key_a = "aborted";
-    only_a = true;
-  } else if (type == "degraded") {
-    key_a = "entered";
-    only_a = true;
+  ArgKeys keys = {nullptr, "a", "b"};
+  for (const ArgKeys& entry : kArgKeys) {
+    if (type == entry.type) {
+      keys = entry;
+      break;
+    }
   }
   out->append("{\"");
-  out->append(key_a);
+  out->append(keys.a);
   out->append("\":");
   out->append(std::to_string(a));
-  if (!only_a) {
+  if (keys.b != nullptr) {
     out->append(",\"");
-    out->append(key_b);
+    out->append(keys.b);
     out->append("\":");
     out->append(std::to_string(b));
   }
