@@ -57,7 +57,10 @@ struct DatabaseOptions {
   uint64_t flush_delay_micros = 0;
   // Group-commit batching window (see LogManagerOptions): the floor of the
   // WAL writer's adaptive window, which stretches to at most 2x under
-  // sustained commit load.
+  // sustained commit load. With a simulated device (flush_delay_micros
+  // > 0) the writer then also waits for the committers its last batch
+  // released, for at most half that batch's device time, so they share
+  // the next fsync.
   uint64_t group_commit_window_micros = 0;
 
   // WAL segment rotation threshold (see LogManagerOptions::segment_bytes);

@@ -1,6 +1,7 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -91,8 +92,9 @@ LogManagerMetrics::LogManagerMetrics(obs::MetricsRegistry* registry)
       batch_records(registry->GetHistogram("ivdb_wal_batch_records")),
       batch_bytes(registry->GetHistogram("ivdb_wal_batch_bytes")),
       batch_window(registry->GetHistogram("ivdb_wal_batch_window_micros")),
-      staging_stalls(
-          registry->GetCounter("ivdb_wal_staging_stalls_total")) {}
+      staging_stalls(registry->GetCounter("ivdb_wal_staging_stalls_total")),
+      convoy_timeouts(
+          registry->GetCounter("ivdb_wal_convoy_timeouts_total")) {}
 
 LogManager::LogManager(LogManagerOptions options)
     : options_(std::move(options)),
@@ -223,6 +225,7 @@ Status LogManager::Open(std::vector<LogRecord>* records, unsigned threads,
   }
   next_lsn_.store(last_lsn_on_disk + 1, std::memory_order_relaxed);
   flushed_lsn_.store(last_lsn_on_disk, std::memory_order_relaxed);
+  opened_.store(true, std::memory_order_release);
   if (segment_stats != nullptr) *segment_stats = std::move(stats);
   return Status::OK();
 }
@@ -291,6 +294,9 @@ Status LogManager::Append(LogRecord* rec) {
     FirePendingPoisonCallback();
     return Status::Unavailable("WAL is poisoned; engine is read-only");
   }
+  if (!options_.dir.empty() && !opened_.load(std::memory_order_acquire)) {
+    return Status::InvalidArgument("WAL is not open");
+  }
   StagingShard& shard = *shards_[ShardIndex()];
   // The LSN is drawn while holding the shard mutex, so a shard's staged
   // vector is internally LSN-sorted and the writer's cross-shard merge only
@@ -326,6 +332,12 @@ Status LogManager::Flush(Lsn upto) {
   Status result = Status::OK();
   {
     UniqueMutexLock lock(&flush_mu_);
+    // Counted by the convoy wait until the pass that covers `upto` sweeps
+    // it out as it releases its batch (after a poison no pass does, and
+    // nothing reads the count again).
+    if (flushed_lsn_.load(std::memory_order_acquire) < upto) {
+      flush_waiting_.push_back(upto);
+    }
     while (flushed_lsn_.load(std::memory_order_acquire) < upto) {
       if (poisoned()) {
         // First waiter in claims the writer's root-cause I/O status; the
@@ -398,6 +410,7 @@ void LogManager::WriterLoop() {
       rotate_target = rotate_seq_;
       do_rotate = rotate_target > rotate_seq_done_;
     }
+    const uint64_t wake = clock_->NowMicros();
     // Adaptive batching window: committers released by the previous
     // batch's completion re-commit nearly simultaneously, so the first
     // stager's wakeup races the rest of the convoy — sleeping a short
@@ -408,11 +421,29 @@ void LogManager::WriterLoop() {
     // commit.
     const uint64_t window = policy_.window_micros();
     if (window > 0 && !do_rotate) clock_->SleepMicros(window);
-    WriteStagedBatch(do_rotate, rotate_target);
+    // Committers slower than the window would otherwise settle into two
+    // alternating half-batches, each waiting out the other's device write.
+    // Only a simulated device has been measured to repay the wait.
+    if (options_.flush_delay_micros > 0 && !do_rotate) AwaitConvoy();
+    WriteStagedBatch(do_rotate, rotate_target, wake);
   }
 }
 
-void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
+void LogManager::AwaitConvoy() {
+  UniqueMutexLock lock(&flush_mu_);
+  if (convoy_ <= 1) return;  // a lone committer waits for nobody
+  // Every Flush() caller joins flush_waiting_ and notifies writer_cv_
+  // under flush_mu_.
+  auto done = [this] {
+    return flush_waiting_.size() >= convoy_ || writer_stop_ || poisoned();
+  };
+  if (!writer_cv_.WaitFor(&lock, last_device_time_ / 2, done)) {
+    metrics_.convoy_timeouts->Add();
+  }
+}
+
+void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target,
+                                  uint64_t wake_micros) {
   if (poisoned()) {
     // A work request can race the poison; once poisoned no further bytes
     // may reach the file (and rotations are not acked — their waiters bail
@@ -421,7 +452,7 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
     flush_cv_.NotifyAll();
     return;
   }
-  const uint64_t pass_start = clock_->NowMicros();
+  const uint64_t seal_start = clock_->NowMicros();
   // Drain every shard into the writer-private reorder map. Shard mutexes
   // are taken strictly one at a time (they share a rank; nesting two is a
   // lock-order violation by design).
@@ -454,15 +485,19 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
   if (!batch.empty() || do_rotate) {
     // ONE segment append + ONE fsync for the whole batch (WriteBatch also
     // models the device latency).
+    const auto device_start = std::chrono::steady_clock::now();
     status = WriteBatch(batch);
+    if (!batch.empty()) {
+      last_device_time_ = std::chrono::steady_clock::now() - device_start;
+    }
   }
   if (flight_ != nullptr && !batch.empty()) {
     const uint64_t write_end = clock_->NowMicros();
     // Two spans on the wal-writer lane, LSN-correlated with the committer
-    // stage spans: the whole pass (drain + reorder + write) and the device
-    // interaction alone.
-    flight_->Emit(obs::FlightEventType::kWalBatch, pass_start,
-                  write_end - pass_start, batch_first, upto);
+    // stage spans: the whole pass from the writer's wakeup (window, convoy
+    // wait, drain, reorder, write) and the device interaction alone.
+    flight_->Emit(obs::FlightEventType::kWalBatch, wake_micros,
+                  write_end - wake_micros, batch_first, upto);
     flight_->Emit(obs::FlightEventType::kWalFsync, write_start,
                   write_end - write_start, upto, batch.size());
   }
@@ -479,7 +514,7 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
     metrics_.flushes->Add();
     metrics_.batch_records->Record(batch_count);
     metrics_.batch_bytes->Record(batch.size());
-    metrics_.batch_window->Record(policy_.window_micros());
+    metrics_.batch_window->Record(seal_start - wake_micros);
     policy_.OnBatch(waiters);
   }
   if (file_ != nullptr) {
@@ -511,6 +546,14 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
     flushed_lsn_.store(upto, std::memory_order_release);
   }
   if (do_rotate) rotate_seq_done_ = rotate_target;
+  // The convoy: the committers this pass releases plus those still
+  // parked. The released ones leave flush_waiting_ here rather than when
+  // they wake, so the next pass counts them only once they are back.
+  convoy_ = flush_waiting_.size();
+  flush_waiting_.erase(
+      std::remove_if(flush_waiting_.begin(), flush_waiting_.end(),
+                     [upto](Lsn lsn) { return lsn <= upto; }),
+      flush_waiting_.end());
   flush_cv_.NotifyAll();
 }
 
@@ -690,8 +733,10 @@ Status LogManager::ReadSegmentFiles(
 void LogManager::Poison() {
   if (!poisoned_.exchange(true, std::memory_order_acq_rel)) {
     // Wake flush waiters parked on flush_cv_ so they observe the poison
-    // instead of waiting for a durability that will never come.
+    // instead of waiting for a durability that will never come, and end a
+    // convoy wait early.
     flush_cv_.NotifyAll();
+    writer_cv_.NotifyOne();
     if (options_.on_poison) options_.on_poison();
   }
 }

@@ -2,6 +2,7 @@
 #define IVDB_WAL_LOG_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -48,11 +49,14 @@ struct LogManagerOptions {
   // commit_delay analog; see wal/batch_policy.h). The writer sleeps the
   // current window after each wakeup so concurrent committers join the
   // batch it is about to seal, and the policy doubles or halves the window
-  // inside [w, 2w] based on commits per batch. The window's job is convoy
-  // assembly — committers released together by the previous batch
-  // re-commit together — so the cap stays far below the device latency:
-  // the fsync itself already accumulates stragglers. 0 = the writer never
-  // waits (each wakeup seals immediately).
+  // inside [w, 2w] based on commits per batch. With a simulated device
+  // (flush_delay_micros > 0) the window is followed by the convoy wait:
+  // the writer keeps the batch open until the committers its last batch
+  // released wait in Flush() again (those it left parked count at once),
+  // for at most half the last batch's device time. A committer slower than
+  // the window thus rides the next batch with the rest of the convoy
+  // instead of splitting it into two alternating half-batches
+  // (docs/INTERNALS.md §2). 0 = no window; the convoy wait still runs.
   uint64_t group_commit_window_micros = 0;
   // File-system seam; nullptr => Env::Default(). Tests inject a
   // FaultInjectionEnv here to crash the log at exact write/sync boundaries.
@@ -93,7 +97,8 @@ struct LogManagerMetrics {
   // durable (`ivdb_wal_flush_wait_micros`): group commit shows up here as a
   // tight distribution near the device latency.
   obs::Histogram* flush_wait_latency;
-  // Per-sealed-batch record count / byte size / batching-window width
+  // Per-sealed-batch record count / byte size / the wait the writer took
+  // between its wakeup and sealing, window plus convoy wait
   // (`ivdb_wal_batch_*`). fsyncs-per-commit is flushes / committed-txns;
   // batch_records p50/p99 is the direct view of how much coalescing each
   // fsync buys.
@@ -104,6 +109,10 @@ struct LogManagerMetrics {
   // committer was mid-append in another shard) and had to re-run
   // (`ivdb_wal_staging_stalls_total`).
   obs::Counter* staging_stalls;
+  // Passes sealed by the convoy wait's cap with the convoy incomplete
+  // (`ivdb_wal_convoy_timeouts_total`): a committer of the last batch left
+  // or is running a long transaction.
+  obs::Counter* convoy_timeouts;
 
   explicit LogManagerMetrics(obs::MetricsRegistry* registry);
 };
@@ -173,6 +182,9 @@ class LogManager {
               std::vector<SegmentReadStats>* segment_stats = nullptr);
 
   // Assigns rec->lsn and stages the record for the writer. Thread-safe.
+  // A durable log (non-empty `dir`) refuses appends with InvalidArgument
+  // until Open() has succeeded: with no segment file the writer would ack
+  // records it never wrote.
   Status Append(LogRecord* rec);
 
   // Blocks until all records with lsn <= upto are durable.
@@ -310,19 +322,31 @@ class LogManager {
   size_t ShardIndex() const;
 
   // Body of the WAL-writer thread: park on writer_cv_ until work is
-  // requested, sleep the adaptive batching window, then run one
-  // WriteStagedBatch pass. Exits when writer_stop_ is set.
+  // requested, sleep the adaptive batching window, wait for the convoy
+  // (AwaitConvoy), then run one WriteStagedBatch pass. Exits when
+  // writer_stop_ is set.
   void WriterLoop();
+
+  // The convoy wait: blocks on writer_cv_ until convoy_ committers wait in
+  // Flush() again (the parked ones count at once, the released ones as
+  // they come back), the log stops or is poisoned, or half the last
+  // batch's device time has passed (counted in convoy_timeouts). A convoy
+  // of one returns at once. The cap is measured and waited in real time,
+  // so a ManualClock harness never waits on virtual device time.
+  void AwaitConvoy();
 
   // One writer pass: drain every staging shard into pending_frames_, write
   // the dense LSN prefix as ONE segment append + ONE fsync, rotate if due
   // (or `do_rotate`), then — under flush_mu_ — advance flushed_lsn_, ack
-  // rotation up to `rotate_target`, feed the policy, and wake flush
-  // waiters. The durable watermark deliberately advances only at the END
-  // of the pass (after rotation I/O): a flush waiter that returns has
-  // therefore observed every env op of its batch complete, which keeps
-  // single-threaded workloads' env-op streams deterministic.
-  void WriteStagedBatch(bool do_rotate, uint64_t rotate_target);
+  // rotation up to `rotate_target`, feed the policy, record the convoy and
+  // wake flush waiters. `wake_micros` is when the writer woke for this
+  // pass: the wait before sealing is measured from it. The durable
+  // watermark deliberately advances only at the END of the pass (after
+  // rotation I/O): a flush waiter that returns has therefore observed every
+  // env op of its batch complete, which keeps single-threaded workloads'
+  // env-op streams deterministic.
+  void WriteStagedBatch(bool do_rotate, uint64_t rotate_target,
+                        uint64_t wake_micros);
 
   // Writer-thread poison: records the root-cause status and defers the
   // on_poison callback instead of firing it on the writer thread (which has
@@ -359,6 +383,13 @@ class LogManager {
   // rotate_seq_done_ to the sampled value only after its rotation lands.
   uint64_t rotate_seq_ IVDB_GUARDED_BY(flush_mu_) = 0;
   uint64_t rotate_seq_done_ IVDB_GUARDED_BY(flush_mu_) = 0;
+  // The convoy wait's count: the LSN each committer in Flush() waits for,
+  // until the pass that makes it durable sweeps it out as it releases the
+  // batch (flush_waiters_ keeps a released committer until it wakes).
+  // convoy_ is its size at the last release: the committers that pass
+  // released plus those still parked.
+  std::vector<Lsn> flush_waiting_ IVDB_GUARDED_BY(flush_mu_);
+  size_t convoy_ IVDB_GUARDED_BY(flush_mu_) = 0;
 
   // Root cause of a writer-thread poison and whether a waiter has already
   // claimed it (see PoisonStagedLocked). The callback flag is atomic so
@@ -380,6 +411,9 @@ class LogManager {
   std::atomic<uint64_t> appended_bytes_{0};
   std::atomic<uint64_t> last_batch_fsync_micros_{0};
   std::atomic<bool> poisoned_{false};
+  // Set once Open() succeeds on a durable log; Append reads this, never
+  // file_, which belongs to Open and the writer.
+  std::atomic<bool> opened_{false};
   obs::FlightRecorder* flight_ = nullptr;  // options_.flight
 
   // One commit-staging shard. Committers hash onto shards by thread; the
@@ -404,6 +438,9 @@ class LogManager {
   // window. No lock — only the writer thread touches them.
   std::map<Lsn, std::string> pending_frames_;
   AdaptiveBatchPolicy policy_;
+  // The last non-empty batch's WriteBatch time on the steady clock; half
+  // of it caps the convoy wait.
+  std::chrono::steady_clock::duration last_device_time_{};
 
   std::thread writer_;
 };

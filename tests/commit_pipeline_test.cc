@@ -9,6 +9,8 @@
 //     fsyncs than commits;
 //   * deterministic pipeline operation under ManualClock (the batching
 //     window sleeps in virtual time, so nothing stalls or races the clock);
+//   * the convoy wait — committers slower than the window still share one
+//     batch, and a committer that leaves costs at most one capped wait;
 //   * commit-visibility flips strictly in COMMIT-LSN order (observable as
 //     the logged commit timestamps being monotone in LSN order — both are
 //     drawn in one visibility_mu_ critical section);
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -217,13 +220,16 @@ TEST_F(CommitPipelineWalTest, ConcurrentCommittersJoinBatchesCorrectly) {
 
 // The batching window sleeps through the Clock seam, so a ManualClock
 // harness drives the whole pipeline in virtual time: a wide window adds no
-// wall-clock latency and cannot deadlock the lone committer.
+// wall-clock latency and cannot deadlock the lone committer. The simulated
+// device puts every pass through the convoy check, which a convoy of one
+// passes without waiting.
 TEST_F(CommitPipelineWalTest, ManualClockRunsTheWindowInVirtualTime) {
   ManualClock clock(1000);
   LogManagerOptions options;
   options.dir = dir_;
   options.staging_shards = 2;
   options.group_commit_window_micros = 50000;  // intolerable if slept for real
+  options.flush_delay_micros = 20000;          // likewise
   options.clock = &clock;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
@@ -238,8 +244,144 @@ TEST_F(CommitPipelineWalTest, ManualClockRunsTheWindowInVirtualTime) {
   // 10 batches x 50ms of virtual window each; generous wall bound proves
   // the sleeps advanced the ManualClock instead of the calendar.
   EXPECT_LT(wall_micros, 100000u) << "window slept in wall time";
-  EXPECT_GE(clock.NowMicros(), 1000u + 10u * 50000u / 2);
+  EXPECT_GE(clock.NowMicros(), 1000u + 10u * (50000u / 2 + 20000u));
   EXPECT_EQ(log.flushed_lsn(), 10u);
+  EXPECT_EQ(log.metrics().convoy_timeouts->Value(), 0);
+}
+
+// Two closed-loop committers whose pauses straddle the batching window:
+// one commits again 50 us after its flush returns, the other 300 us.
+// Sealing when the window expires splits them into two alternating
+// half-batches, nearly one flush per commit. The convoy wait holds each
+// batch until both are back, so they share a device write. Window 0 is the
+// DatabaseOptions default: nothing but the convoy wait then stands between
+// a pass's release and the next seal, so the wait must count committers
+// that came back, not those still on their way out of Flush().
+TEST_F(CommitPipelineWalTest, SkewedCommittersShareOneBatch) {
+  constexpr int kPerThread = 200;
+  for (uint64_t window_micros : {50u, 0u}) {
+    SCOPED_TRACE("window " + std::to_string(window_micros) + " us");
+    LogManagerOptions options;
+    options.dir = dir_ + "/window-" + std::to_string(window_micros);
+    options.flush_delay_micros = 1000;
+    options.group_commit_window_micros = window_micros;
+    LogManager log(options);
+    ASSERT_TRUE(log.Open().ok());
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int pause_micros : {50, 300}) {
+      threads.emplace_back([&, pause_micros] {
+        for (int i = 0; i < kPerThread; i++) {
+          const std::string key =
+              std::to_string(pause_micros) + "-" + std::to_string(i);
+          LogRecord rec = InsertRecord(static_cast<TxnId>(pause_micros), key);
+          if (!log.Append(&rec).ok() || !log.Flush(rec.lsn).ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(pause_micros));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(failures.load(), 0);
+
+    const int64_t commits = 2 * kPerThread;
+    const int64_t flushes = log.metrics().flushes->Value();
+    EXPECT_LE(flushes * 100, commits * 65)
+        << flushes << " flushes for " << commits << " commits";
+  }
+}
+
+// The convoy wait's cap is measured and waited on the steady clock, so a
+// ManualClock harness whose committers outpace each other never sits out
+// virtual device time for real: here each capped wait would otherwise
+// block for 5 s.
+TEST_F(CommitPipelineWalTest, ManualClockConvoyCapIgnoresVirtualDeviceTime) {
+  constexpr int kShort = 5;
+  constexpr int kLong = 20;
+  ManualClock clock(1000);
+  LogManagerOptions options;
+  options.dir = dir_;
+  options.flush_delay_micros = 10000000;  // 10 s, virtual
+  options.clock = &clock;
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int commits : {kShort, kLong}) {
+    threads.emplace_back([&, commits] {
+      for (int i = 0; i < commits; i++) {
+        LogRecord rec = InsertRecord(static_cast<TxnId>(commits),
+                                     std::to_string(commits) + "-" +
+                                         std::to_string(i));
+        if (!log.Append(&rec).ok() || !log.Flush(rec.lsn).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const auto wall = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(log.flushed_lsn(), static_cast<Lsn>(kShort + kLong));
+  EXPECT_LT(wall, std::chrono::seconds(4))
+      << log.metrics().convoy_timeouts->Value() << " capped waits";
+}
+
+// When one of two committers leaves, the survivor's next batch waits out
+// the cap once. That pass records a convoy of one, so the survivor's later
+// commits seal right after the window.
+TEST_F(CommitPipelineWalTest, DepartedCommitterCostsOneCappedWait) {
+  constexpr int kTogether = 50;
+  constexpr int kAlone = 50;
+  LogManagerOptions options;
+  options.dir = dir_;
+  options.flush_delay_micros = 1000;
+  options.group_commit_window_micros = 50;
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+  obs::Counter* timeouts = log.metrics().convoy_timeouts;
+
+  std::atomic<int> failures{0};
+  auto commit = [&](TxnId txn, int i) {
+    LogRecord rec =
+        InsertRecord(txn, std::to_string(txn) + "-" + std::to_string(i));
+    if (!log.Append(&rec).ok() || !log.Flush(rec.lsn).ok()) {
+      failures.fetch_add(1);
+    }
+  };
+  std::atomic<bool> survivor_idle{false};
+  std::atomic<bool> go_alone{false};
+  std::thread leaver([&] {
+    for (int i = 0; i < kTogether; i++) commit(1, i);
+  });
+  std::thread survivor([&] {
+    for (int i = 0; i < kTogether; i++) commit(2, i);
+    survivor_idle.store(true);
+    while (!go_alone.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    for (int i = kTogether; i < kTogether + kAlone; i++) commit(2, i);
+  });
+  leaver.join();
+  while (!survivor_idle.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // No committer is in flight here: the count is stable.
+  const int64_t before = timeouts->Value();
+  go_alone.store(true);
+  survivor.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  EXPECT_LE(timeouts->Value() - before, 1)
+      << "each lone commit waited for the departed committer";
+  EXPECT_EQ(log.flushed_lsn(), static_cast<Lsn>(2 * kTogether + kAlone));
 }
 
 // --- Engine-level pipeline behaviour --------------------------------------

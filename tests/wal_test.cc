@@ -525,6 +525,28 @@ TEST_F(WalTest, ListSegmentFilesSortedBySeqno) {
   }
 }
 
+// Before Open() a durable log has no segment file, so a record it staged
+// would be acked by the writer's next pass without ever being written.
+TEST_F(WalTest, DurableLogRefusesAppendsBeforeOpen) {
+  {
+    LogManager log({dir_});
+    LogRecord early = DataRecord(1, LogRecordType::kInsert, "early");
+    Status s = log.Append(&early);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(log.last_lsn(), 0u);
+
+    ASSERT_TRUE(log.Open().ok());
+    LogRecord rec = DataRecord(1, LogRecordType::kInsert, "k");
+    ASSERT_TRUE(log.Append(&rec).ok());
+    EXPECT_EQ(rec.lsn, 1u);
+    ASSERT_TRUE(log.Flush(rec.lsn).ok());
+  }
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(LogManager::ReadLog(dir_, &records).ok());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, "k");
+}
+
 TEST_F(WalTest, InMemoryLogNeedsNoFile) {
   LogManager log({""});
   ASSERT_TRUE(log.Open().ok());
