@@ -6,6 +6,14 @@
 // index bloats with invisible rows and scans slow down. Claim: the
 // asynchronous ghost cleaner (short system transactions with instant X
 // probes) bounds the bloat without ever blocking user transactions.
+//
+// A second table measures what the background duties cost an idle engine:
+// its threads and their wakeups per second, by aggregate-view count.
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 #include "bench_util.h"
 
 using namespace ivdb;
@@ -14,6 +22,7 @@ using namespace ivdb::bench;
 namespace {
 
 struct ChurnResult {
+  uint64_t committed = 0;
   double tps = 0;
   uint64_t view_rows_physical = 0;
   uint64_t view_rows_visible = 0;
@@ -46,6 +55,7 @@ ChurnResult RunChurn(bool cleaner_on, int duration_ms) {
   });
 
   ChurnResult out;
+  out.committed = result.committed;
   out.tps = result.Tps();
   const ViewInfo* info = bench.db->GetView("by_grp").value();
   out.view_rows_physical = bench.db->GetIndex(info->id)->size();
@@ -69,6 +79,74 @@ ChurnResult RunChurn(bool cleaner_on, int duration_ms) {
   return out;
 }
 
+// Threads of this process and the voluntary context switches of every
+// thread but the calling one, from /proc/self/task/*/status (Linux;
+// threads stays -1 where /proc is unavailable).
+struct ThreadCensus {
+  int threads = -1;
+  uint64_t wakeups = 0;
+};
+
+ThreadCensus TakeCensus() {
+  ThreadCensus census;
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return census;
+  census.threads = 0;
+  const std::string self = std::to_string(::getpid());
+  for (const auto& task : it) {
+    census.threads++;
+    if (task.path().filename() == self) continue;
+    std::ifstream status(task.path() / "status");
+    std::string line;
+    while (std::getline(status, line)) {
+      static const std::string kKey = "voluntary_ctxt_switches:";
+      if (line.rfind(kKey, 0) == 0) {
+        census.wakeups += std::strtoull(line.c_str() + kKey.size(), nullptr,
+                                        10);
+      }
+    }
+  }
+  return census;
+}
+
+// An idle engine with `views` aggregate views and perfbench's background
+// settings (durable, 1 MiB checkpoint trigger, ghost cleanup at its 50 ms
+// default, version GC every 20 ms): its threads and their wakeups/s over
+// `idle_ms`. Called on the main thread, which the census leaves out.
+ThreadCensus IdleEngine(int views, int idle_ms) {
+  const std::string dir = "/tmp/ivdb_bench_ghosts_idle";
+  std::filesystem::remove_all(dir);
+  const ThreadCensus process = TakeCensus();
+  DatabaseOptions options = DurableOptions(dir);
+  options.checkpoint_wal_bytes = 1 << 20;
+  options.start_ghost_cleaner = true;
+  options.version_gc_interval_micros = 20 * 1000;
+  SalesBench bench = SalesBench::Create(options, 0, /*with_view=*/false);
+  const ObjectId fact = bench.db->catalog().GetTable("sales").value()->id;
+  for (int v = 0; v < views; v++) {
+    ViewDefinition def;
+    def.name = "v";
+    def.name += std::to_string(v);
+    def.kind = ViewKind::kAggregate;
+    def.fact_table = fact;
+    def.group_by = {1};
+    def.aggregates = {{AggregateFunction::kSum, 2, "total"}};
+    IVDB_CHECK(bench.db->CreateIndexedView(def).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const ThreadCensus start = TakeCensus();
+  std::this_thread::sleep_for(std::chrono::milliseconds(idle_ms));
+  const ThreadCensus end = TakeCensus();
+  bench.db.reset();
+  std::filesystem::remove_all(dir);
+  ThreadCensus out;
+  if (process.threads < 0) return out;
+  out.threads = end.threads - process.threads;
+  out.wakeups = (end.wakeups - start.wakeups) * 1000 / idle_ms;
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -83,8 +161,10 @@ int main() {
            widths);
 
   const int duration_ms = BenchDurationMs(500);
+  ChurnResult runs[2];  // cleaner off, on
   for (bool cleaner_on : {false, true}) {
     ChurnResult r = RunChurn(cleaner_on, duration_ms);
+    runs[cleaner_on] = r;
     PrintRow({cleaner_on ? "on" : "off", Fmt(r.tps, 0),
               std::to_string(r.view_rows_physical),
               std::to_string(r.view_rows_visible), Fmt(r.scan_micros, 0),
@@ -95,5 +175,31 @@ int main() {
       "\nexpected shape: visible rows ~0 in both; physical rows grow with\n"
       "every churned group when the cleaner is off and stay bounded when\n"
       "on; scan cost tracks physical rows. User throughput is unaffected.\n");
+  // Rows left per committed churn transaction: every commit leaves a ghost
+  // with the cleaner off, so comparing rates keeps the check independent
+  // of how fast each short run happened to go.
+  const ChurnResult& off = runs[0];
+  const ChurnResult& on = runs[1];
+  IVDB_CHECK_MSG(on.view_rows_physical * off.committed * 4 <
+                     off.view_rows_physical * on.committed,
+                 "background ghost cleanup left a quarter or more of the "
+                 "cleaner-off run's physical view rows per commit");
+
+  std::printf(
+      "\nidle engine, perfbench background settings (durable, 1 MiB "
+      "checkpoint\ntrigger, ghost cleanup every 50 ms, version GC every 20 "
+      "ms):\n");
+  const std::vector<int> idle_widths = {7, 16, 10};
+  PrintRow({"views", "engine-threads", "wakeups/s"}, idle_widths);
+  for (int views : {0, 2, 8}) {
+    ThreadCensus idle = IdleEngine(views, 2 * duration_ms);
+    if (idle.threads < 0) {
+      std::printf("(no /proc/self/task: thread census skipped)\n");
+      break;
+    }
+    PrintRow({std::to_string(views), std::to_string(idle.threads),
+              std::to_string(idle.wakeups)},
+             idle_widths);
+  }
   return 0;
 }

@@ -59,6 +59,15 @@ class ManualClock : public Clock {
   std::atomic<uint64_t> now_;
 };
 
+// Stable hash of the calling thread's identity: the stripe key of every
+// per-thread-striped structure (EpochClock slots, epoch reader slots, WAL
+// staging shards).
+inline size_t ThisThreadHash() {
+  thread_local const size_t hash =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  return hash;
+}
+
 // Monotonic logical timestamp source. Transaction begin/commit timestamps
 // are drawn from one shared LogicalClock so that snapshot visibility
 // (`commit_ts <= snapshot_ts`) is a total order.
@@ -206,8 +215,8 @@ class EpochClock {
   // Stable per-thread slot: threads hash onto one of kSlots cache-line
   // private counters. Collisions only share a counter, never break draws.
   static uint32_t SlotIndex() {
-    thread_local const uint32_t slot = static_cast<uint32_t>(
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) % kSlots);
+    thread_local const uint32_t slot =
+        static_cast<uint32_t>(ThisThreadHash() % kSlots);
     return slot;
   }
 

@@ -12,9 +12,9 @@
 // a mutex whose rank is strictly greater than every rank it already holds.
 // The total order below is the one the commit path actually uses:
 //
-//   Database::ckpt_thread_mu_   (1)    checkpoint-thread parking (outermost)
+//   Database::housekeeper_mu_   (1)    housekeeper parking / stop flag
+//                                      (outermost)
 //   Database::checkpoint_mu_    (2)    checkpoint serialization
-//   TxnManager::watchdog_mu_    (3)    watchdog parking / stop flag
 //   Transaction::owner_mu_      (5)    per-txn owner latch
 //   Database::indexes_mu_       (6)    object-id -> BTree map (shared)
 //   Database::views_mu_         (7)    view registry (shared)
@@ -79,15 +79,14 @@
 // TryLock is exempt from the order check (a non-blocking probe cannot
 // participate in a deadlock cycle); a successful try-acquire is still
 // pushed on the held stack so locks taken while it is held are ordered
-// against it. The watchdog relies on this: it try-probes owner_mu_ (5)
-// while holding active_mu_ (10).
+// against it. The stuck-transaction sweep relies on this: it try-probes
+// owner_mu_ (5) while holding active_mu_ (10).
 
 namespace ivdb {
 
 enum class LockRank : int {
-  kCkptThread = 1,
+  kHousekeeper = 1,
   kCheckpointSerial = 2,
-  kTxnWatchdog = 3,
   kTxnOwner = 5,
   kEngineIndexes = 6,
   kEngineViews = 7,

@@ -200,27 +200,15 @@ Database::~Database() {
   SetInvariantHook(nullptr, nullptr);
   // Simulated crash semantics: no implicit checkpoint, no implicit aborts.
   // Whatever the WAL says is what a reopened database will reconstruct.
-  if (ckpt_thread_.joinable()) {
+  if (housekeeper_.joinable()) {
     {
-      MutexLock guard(&ckpt_thread_mu_);
-      ckpt_stop_ = true;
+      MutexLock guard(&housekeeper_mu_);
+      housekeeper_stop_ = true;
     }
-    ckpt_thread_cv_.NotifyAll();
-    ckpt_thread_.join();
-  }
-  if (gc_thread_.joinable()) {
-    {
-      MutexLock guard(&gc_thread_mu_);
-      gc_stop_ = true;
-    }
-    gc_thread_cv_.NotifyAll();
-    gc_thread_.join();
+    housekeeper_cv_.NotifyAll();
+    housekeeper_.join();
   }
   if (build_thread_.joinable()) build_thread_.join();
-  ReaderMutexLock views_guard(&views_mu_);
-  for (auto& [name, entry] : views_) {
-    if (entry->cleaner != nullptr) entry->cleaner->Stop();
-  }
 }
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
@@ -230,19 +218,17 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   }
   std::unique_ptr<Database> db(new Database(std::move(options)));
   IVDB_RETURN_NOT_OK(db->Recover());
-  // Recovery registers views before the log is open and then replays into
-  // their trees; a cleaner's system transaction may join in only now.
-  db->StartGhostCleaners();
   // From here an IVDB_ASSERT/IVDB_INVARIANT failure anywhere in the process
   // writes this engine's flight recorder next to its WAL before aborting.
   SetInvariantHook(&Database::InvariantBlackboxHook, db.get());
-  if (!db->options_.dir.empty() && db->options_.checkpoint_wal_bytes > 0) {
-    db->ckpt_thread_ = std::thread([raw = db.get()] {
-      raw->CheckpointThreadLoop();
-    });
-  }
-  if (db->options_.version_gc_interval_micros > 0) {
-    db->gc_thread_ = std::thread([raw = db.get()] { raw->GcThreadLoop(); });
+  // Recovery registers views before the log is open and then replays into
+  // their trees, so no background duty may start before it has returned.
+  const DatabaseOptions& o = db->options_;
+  if ((!o.dir.empty() && o.checkpoint_wal_bytes > 0) ||
+      o.version_gc_interval_micros > 0 || o.start_ghost_cleaner ||
+      o.max_txn_lifetime_micros > 0) {
+    db->housekeeper_ =
+        std::thread([raw = db.get()] { raw->HousekeeperLoop(); });
   }
   return db;
 }
@@ -380,49 +366,34 @@ Status Database::RegisterView(ObjectId id, ViewDefinition def, bool populate) {
         std::move(cleaner_options));
   }
 
-  std::string view_name = def.name;
-  ViewEntry* raw = entry.get();
-  {
-    WriterMutexLock guard(&views_mu_);
-    if (views_.count(view_name) != 0) {
-      return Status::AlreadyExists("view '" + view_name + "' exists");
-    }
-    if (def.join.has_value()) {
-      dimension_tables_.insert(def.join->dimension_table);
-    }
-    views_[view_name] = std::move(entry);
-  }
-
   if (populate) {
     std::map<std::string, Row> contents;
-    Status s = raw->maintainer->Recompute(&contents);
-    if (!s.ok()) {
-      WriterMutexLock guard(&views_mu_);
-      views_.erase(view_name);
-      return s;
-    }
+    IVDB_RETURN_NOT_OK(entry->maintainer->Recompute(&contents));
     for (const auto& [key, row] : contents) {
       tree->Put(key, EncodeRow(row));
     }
   }
-  return Status::OK();
-}
 
-void Database::StartGhostCleaners() {
-  if (!options_.start_ghost_cleaner) return;
-  ReaderMutexLock guard(&views_mu_);
-  for (const auto& [name, entry] : views_) {
-    // Start is a no-op on a cleaner that already runs.
-    if (entry->cleaner != nullptr) {
-      entry->cleaner->Start(options_.ghost_cleaner_interval_micros);
-    }
+  // Published last and never removed: the housekeeper's ghost duty may use
+  // the entry from the moment it is in views_.
+  WriterMutexLock guard(&views_mu_);
+  if (views_.count(def.name) != 0) {
+    return Status::AlreadyExists("view '" + def.name + "' exists");
   }
+  if (def.join.has_value()) {
+    dimension_tables_.insert(def.join->dimension_table);
+  }
+  views_[def.name] = std::move(entry);
+  return Status::OK();
 }
 
 Result<const ViewInfo*> Database::CreateIndexedView(ViewDefinition def) {
   IVDB_RETURN_NOT_OK(CheckWritable());
   if (catalog_.GetTable(def.name).ok()) {
     return Status::AlreadyExists("a table named '" + def.name + "' exists");
+  }
+  if (GetView(def.name).ok()) {
+    return Status::AlreadyExists("view '" + def.name + "' exists");
   }
   ObjectId id = catalog_.AllocateId();
 
@@ -432,7 +403,6 @@ Result<const ViewInfo*> Database::CreateIndexedView(ViewDefinition def) {
   Status s = RegisterView(id, std::move(def), /*populate=*/true);
   txns_->EndQuiesce();
   IVDB_RETURN_NOT_OK(s);
-  StartGhostCleaners();
 
   if (!options_.dir.empty()) {
     IVDB_RETURN_NOT_OK(Checkpoint());
@@ -1342,7 +1312,14 @@ Status Database::Checkpoint() {
   IVDB_RETURN_NOT_OK(CheckWritable());
   if (options_.dir.empty()) return Status::OK();
   MutexLock serial(&checkpoint_mu_);
+  return CheckpointLocked();
+}
+
+Status Database::CheckpointLocked() {
   const uint64_t start_micros = clock_->NowMicros();
+  // The WAL-size trigger's baseline: bytes appended from here on count
+  // toward the next checkpoint, whoever takes this one.
+  const uint64_t start_bytes = log_->appended_bytes();
 
   // Seal the open segment first: every segment sealed before the capture
   // then ends at or below the capture's WAL high-water mark, so once the
@@ -1461,33 +1438,15 @@ Status Database::Checkpoint() {
     return Status::OK();
   }();
   txns_->ReleaseCheckpointReader(cap.reader);
+  if (!s.ok()) return s;
+  ckpt_last_bytes_ = start_bytes;
   // Ghost cleanup piggybacks on the checkpoint cadence: every successful
   // fuzzy checkpoint is followed by one batched cleanup pass (system
   // transactions, outside the capture section, so image consistency and
   // commit flow are untouched). Best-effort — a cleanup failure does not
   // fail the checkpoint that already published.
-  if (s.ok()) (void)CleanGhosts();
+  (void)CleanGhosts();
   return s;
-}
-
-void Database::CheckpointThreadLoop() {
-  flight_.SetThreadName("checkpointer");
-  UniqueMutexLock lock(&ckpt_thread_mu_);
-  while (!ckpt_stop_) {
-    ckpt_thread_cv_.WaitFor(&lock, std::chrono::milliseconds(10));
-    if (ckpt_stop_) break;
-    const uint64_t appended = log_->appended_bytes();
-    if (appended - ckpt_last_bytes_ < options_.checkpoint_wal_bytes) {
-      continue;
-    }
-    lock.Unlock();
-    // Bytes appended while this checkpoint runs count toward the next one.
-    Status s = Checkpoint();
-    lock.Lock();
-    if (s.ok()) ckpt_last_bytes_ = appended;
-    // Degraded/unavailable: stay parked until the next wakeup; the gate in
-    // Checkpoint() keeps this loop harmless once the engine is read-only.
-  }
 }
 
 Status Database::RestoreFromImage(const SnapshotImage& image) {
@@ -1772,22 +1731,26 @@ Status Database::Recover() {
 // Maintenance / administration
 // ---------------------------------------------------------------------------
 
+std::vector<GhostCleaner*> Database::GhostCleaners() const {
+  std::vector<GhostCleaner*> cleaners;
+  ReaderMutexLock guard(&views_mu_);
+  for (const auto& [name, entry] : views_) {
+    if (entry->cleaner != nullptr) cleaners.push_back(entry->cleaner.get());
+  }
+  return cleaners;
+}
+
 Status Database::CleanGhosts(uint64_t* reclaimed_out) {
   uint64_t total = 0;
-  std::vector<GhostCleaner*> cleaners;
-  {
-    ReaderMutexLock guard(&views_mu_);
-    for (const auto& [name, entry] : views_) {
-      if (entry->cleaner != nullptr) cleaners.push_back(entry->cleaner.get());
-    }
-  }
-  for (GhostCleaner* cleaner : cleaners) {
+  Status first_failure;
+  for (GhostCleaner* cleaner : GhostCleaners()) {
     uint64_t reclaimed = 0;
-    IVDB_RETURN_NOT_OK(cleaner->RunOnce(&reclaimed));
+    Status s = cleaner->RunOnce(&reclaimed);
     total += reclaimed;
+    if (first_failure.ok()) first_failure = s;
   }
   if (reclaimed_out != nullptr) *reclaimed_out = total;
-  return Status::OK();
+  return first_failure;
 }
 
 uint64_t Database::GarbageCollectVersions() {
@@ -1816,15 +1779,98 @@ uint64_t Database::GarbageCollectVersions() {
   return unlinked;
 }
 
-void Database::GcThreadLoop() {
-  flight_.SetThreadName("version-gc");
-  UniqueMutexLock lock(&gc_thread_mu_);
-  while (!gc_stop_) {
-    gc_thread_cv_.WaitFor(
-        &lock, std::chrono::microseconds(options_.version_gc_interval_micros));
-    if (gc_stop_) break;
+void Database::RunCheckpointDuty() {
+  TryMutexLock serial(&checkpoint_mu_);
+  if (!serial.OwnsLock() || !CheckWritable().ok()) return;
+  if (log_->appended_bytes() - ckpt_last_bytes_ >=
+      options_.checkpoint_wal_bytes) {
+    (void)CheckpointLocked();
+  }
+}
+
+void Database::HousekeeperLoop() {
+  flight_.SetThreadName("housekeeper");
+  using Steady = std::chrono::steady_clock;
+  using Micros = std::chrono::microseconds;
+  // The WAL-size trigger is checked every 10 ms; the stuck-transaction
+  // sweep runs every quarter lifetime, clamped to [1 ms, 1 s] — prompt
+  // enough to catch stalls without busy-polling tiny lifetimes.
+  const Micros ckpt_period(10 * 1000);
+  const Micros sweep_period(std::clamp<uint64_t>(
+      options_.max_txn_lifetime_micros / 4, 1000, 1000 * 1000));
+  const Micros gc_period(options_.version_gc_interval_micros);
+  const Micros ghost_base(options_.ghost_cleaner_interval_micros);
+  Micros ghost_interval = ghost_base;
+
+  // Next due time per duty; time_point::max() marks a duty that is off.
+  // Ghost cleanup starts with a pass, the others with a wait. The
+  // fixed-period duties keep to a grid of their period from `start`: after
+  // a run, a duty is due at the first grid point past its end, so duties
+  // whose periods divide one another keep sharing wakeups.
+  const Steady::time_point start = Steady::now();
+  const auto reschedule = [start](Steady::time_point* due, Micros period) {
+    *due = start + ((Steady::now() - start) / period + 1) * period;
+  };
+  constexpr Steady::time_point kOff = Steady::time_point::max();
+  Steady::time_point sweep_due =
+      options_.max_txn_lifetime_micros > 0 ? start + sweep_period : kOff;
+  Steady::time_point gc_due = gc_period.count() > 0 ? start + gc_period : kOff;
+  Steady::time_point ghost_due = options_.start_ghost_cleaner ? start : kOff;
+  Steady::time_point ckpt_due =
+      !options_.dir.empty() && options_.checkpoint_wal_bytes > 0
+          ? start + ckpt_period
+          : kOff;
+
+  UniqueMutexLock lock(&housekeeper_mu_);
+  while (!housekeeper_stop_) {
+    const Steady::time_point next =
+        std::min({sweep_due, gc_due, ghost_due, ckpt_due});
+    if (Steady::now() < next) {
+      housekeeper_cv_.WaitUntil(&lock, next);
+      continue;
+    }
     lock.Unlock();
-    (void)GarbageCollectVersions();
+    // No duty waits on a user transaction or on checkpoint_mu_, so the
+    // sweep that would abort a stuck transaction is late by at most the
+    // duties already running when it falls due.
+    const Steady::time_point now = Steady::now();
+    if (now >= sweep_due) {
+      const uint64_t pass_start = clock_->NowMicros();
+      const uint64_t reaped = txns_->SweepStuckTransactions();
+      flight_.Emit(obs::FlightEventType::kWatchdogPass, pass_start,
+                   clock_->NowMicros() - pass_start, reaped);
+      reschedule(&sweep_due, sweep_period);
+    }
+    if (now >= gc_due) {
+      (void)GarbageCollectVersions();
+      reschedule(&gc_due, gc_period);
+    }
+    if (now >= ghost_due) {
+      const Steady::time_point pass_begin = Steady::now();
+      bool clean = true;
+      for (GhostCleaner* cleaner : GhostCleaners()) {
+        uint64_t errors = 0;
+        if (!cleaner->RunOnce(nullptr, &errors).ok() || errors > 0) {
+          clean = false;
+        }
+      }
+      // A pass that fails or absorbs errors backs off (doubling, capped at
+      // 16x) so a degraded or faulting engine is probed gently; a clean
+      // pass resets the interval.
+      ghost_interval = clean ? ghost_base
+                             : std::min(ghost_interval * 2, ghost_base * 16);
+      // Duty-cycle cap: rest at least as long as the pass ran. A pass holds
+      // batch X locks on the rows it reclaims; back-to-back passes would
+      // keep re-taking them and starve foreground transactions trying to
+      // stabilize a freshly created aggregate row.
+      const Steady::time_point pass_end = Steady::now();
+      ghost_due = pass_end + std::max<Steady::duration>(
+                                 ghost_interval, pass_end - pass_begin);
+    }
+    if (now >= ckpt_due) {
+      RunCheckpointDuty();
+      reschedule(&ckpt_due, ckpt_period);
+    }
     lock.Lock();
   }
 }

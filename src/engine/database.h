@@ -67,10 +67,10 @@ struct DatabaseOptions {
   // 0 keeps one ever-growing segment.
   uint64_t wal_segment_bytes = 8ull << 20;
   // Background fuzzy-checkpoint trigger: once this many WAL bytes have been
-  // appended since the last checkpoint, the checkpointer thread takes a new
-  // one (which then retires dead segments). 0 — the default — disables the
-  // background checkpointer; checkpoints still happen on DDL and on
-  // explicit Checkpoint() calls.
+  // appended since the last checkpoint of any kind, the housekeeper takes a
+  // new one (which then retires dead segments); it checks every 10 ms. 0 —
+  // the default — disables the background checkpoint; checkpoints still
+  // happen on DDL and on explicit Checkpoint() calls.
   uint64_t checkpoint_wal_bytes = 0;
   // Parallelism of the restart redo pipeline (segment decode/CRC fan-out;
   // application is always in LSN order). 0 = auto (min(4, hardware));
@@ -91,7 +91,10 @@ struct DatabaseOptions {
   // Phantom-protection strategy for base-table scans in kLocking mode.
   ScanLockingMode scan_locking = ScanLockingMode::kObjectLevel;
 
-  // Background ghost cleanup for every aggregate view.
+  // Background ghost cleanup: every interval the housekeeper runs one
+  // cleanup pass over every aggregate view. A pass that fails or absorbs
+  // row errors doubles the interval (up to 16x) until a clean pass, and the
+  // housekeeper always rests at least as long as the last pass ran.
   bool start_ghost_cleaner = false;
   uint64_t ghost_cleaner_interval_micros = 50000;
 
@@ -102,10 +105,10 @@ struct DatabaseOptions {
   // changed since the serving snapshot.
   bool scan_cache = true;
 
-  // Background epoch-based version GC: every interval, unlink versions
-  // dead to the oldest active snapshot and free batches whose retire epoch
-  // every active reader has left. 0 — the default — disables the thread;
-  // GarbageCollectVersions() can still be called explicitly.
+  // Background epoch-based version GC: every interval, the housekeeper
+  // unlinks versions dead to the oldest active snapshot and frees batches
+  // whose retire epoch every active reader has left. 0 — the default —
+  // disables it; GarbageCollectVersions() can still be called explicitly.
   uint64_t version_gc_interval_micros = 0;
 
   // Admission control: maximum concurrently active user transactions
@@ -135,12 +138,14 @@ struct DatabaseOptions {
 
   // Stuck-transaction watchdog: user transactions idle for longer than this
   // (wall-clock age since Begin, owner thread not inside an engine call)
-  // are force-aborted by a background sweep, releasing their locks. 0 — the
-  // default — disables the watchdog. See docs/ROBUSTNESS.md §3.
+  // are force-aborted by the housekeeper's sweep, every quarter lifetime
+  // (clamped to [1 ms, 1 s]), releasing their locks. 0 — the default —
+  // disables the watchdog. See docs/ROBUSTNESS.md §3.
   uint64_t max_txn_lifetime_micros = 0;
 
   // Time source for retry backoff sleeps, watchdog age accounting, and
-  // commit-latency metrics; nullptr => Clock::Default() (real time). Tests
+  // commit-latency metrics; nullptr => Clock::Default() (real time). The
+  // housekeeper paces itself on real time whatever this is. Tests
   // inject a ManualClock to make RunTransaction backoff schedules
   // deterministic. Must outlive the Database.
   Clock* clock = nullptr;
@@ -338,8 +343,8 @@ class Database : public LogApplier, public IndexResolver {
   // short snapshot-acquire critical section (a timestamp, the WAL
   // high-water mark, and the set of in-flight transactions), then builds
   // and atomically publishes a transactionally-consistent as-of-capture
-  // image while commits keep flowing — no quiesce, no pause of the ghost
-  // cleaners. After publishing it retires every WAL segment below the new
+  // image while commits keep flowing — no quiesce, no pause of ghost
+  // cleanup. After publishing it retires every WAL segment below the new
   // redo horizon. Concurrent calls serialize. See docs/INTERNALS.md §4.
   Status Checkpoint();
   // Forces the WAL to stable storage (commits already do this).
@@ -347,7 +352,8 @@ class Database : public LogApplier, public IndexResolver {
 
   // --- Maintenance / administration ---
 
-  // Runs one ghost-cleanup pass over every aggregate view.
+  // Runs one ghost-cleanup pass over every aggregate view. A failed pass
+  // does not skip the views after it; returns the first failure.
   Status CleanGhosts(uint64_t* reclaimed = nullptr);
   // Reclaims version-store entries older than the oldest active snapshot.
   uint64_t GarbageCollectVersions();
@@ -359,8 +365,8 @@ class Database : public LogApplier, public IndexResolver {
 
   // Runs one stuck-transaction watchdog pass right now (see
   // DatabaseOptions::max_txn_lifetime_micros); returns the number of
-  // transactions aborted. The background sweep calls this periodically;
-  // ManualClock tests call it directly.
+  // transactions aborted. The housekeeper sweeps periodically; ManualClock
+  // tests call this directly.
   uint64_t AbortStuckTransactions() { return txns_->SweepStuckTransactions(); }
 
   // Test/benchmark oracle: recomputes the view from base tables and compares
@@ -438,10 +444,20 @@ class Database : public LogApplier, public IndexResolver {
   // increment redo is not idempotent and needs its base rows).
   Status BuildIndexImage(ObjectId object_id, uint64_t as_of_ts,
                          std::string* payload);
-  // The checkpointer thread body (only when checkpoint_wal_bytes > 0).
-  void CheckpointThreadLoop();
-  // The version-GC thread body (only when version_gc_interval_micros > 0).
-  void GcThreadLoop();
+  // Checkpoint() minus the writable gate and the serialization.
+  Status CheckpointLocked() IVDB_REQUIRES(checkpoint_mu_);
+  // The housekeeper thread body: runs each background duty as it falls due
+  // (WAL-size checkpoint, version GC, ghost cleanup, stuck-transaction
+  // sweep). Started by Open once Recover has returned, only when at least
+  // one duty is on.
+  void HousekeeperLoop();
+  // The checkpoint duty: checkpoints once the WAL has grown
+  // checkpoint_wal_bytes since the last checkpoint. It only try-locks
+  // checkpoint_mu_, so it skips the tick while a DDL or explicit
+  // checkpoint or an online-build flip holds it. Exempt from the static
+  // analysis: the try-lock is a conditionally-held capability (see
+  // TryMutexLock).
+  void RunCheckpointDuty() IVDB_NO_THREAD_SAFETY_ANALYSIS;
 
   // kUnavailable once the engine is degraded; gates every path that would
   // append to the WAL (DML, DDL, checkpoints). Reads are never gated.
@@ -458,10 +474,9 @@ class Database : public LogApplier, public IndexResolver {
   Status MaintainSecondaryIndexes(Transaction* txn, const TableInfo* info,
                                   const Row* old_row, const Row* new_row);
   Status RegisterView(ObjectId id, ViewDefinition def, bool populate);
-  // With start_ghost_cleaner, starts every aggregate view's cleaner that
-  // is not running yet. Registering a view never starts one: recovery's
-  // views get theirs once Recover has returned.
-  void StartGhostCleaners();
+  // Every registered aggregate view's cleaner. Views are never
+  // unregistered, so the pointers stay valid for the engine's lifetime.
+  std::vector<GhostCleaner*> GhostCleaners() const;
 
   // --- Online view build internals (engine/online_build.cc) ---
   struct OnlineBuildCtx;
@@ -558,10 +573,13 @@ class Database : public LogApplier, public IndexResolver {
       IVDB_GUARDED_BY(views_mu_);
   std::set<ObjectId> dimension_tables_ IVDB_GUARDED_BY(views_mu_);
 
-  // Serializes checkpoints (DDL, explicit calls, the background
-  // checkpointer). Rank kCheckpointSerial: held across the whole fuzzy
-  // checkpoint, below every other rank.
+  // Serializes checkpoints (DDL, explicit calls, the housekeeper) and the
+  // online-build flip. Rank kCheckpointSerial: held across the whole fuzzy
+  // checkpoint, below every other rank. The housekeeper only try-locks it.
   RankedMutex checkpoint_mu_{LockRank::kCheckpointSerial, "checkpoint_mu_"};
+  // log_->appended_bytes() sampled at the start of the last successful
+  // checkpoint: the WAL-size trigger's baseline.
+  uint64_t ckpt_last_bytes_ IVDB_GUARDED_BY(checkpoint_mu_) = 0;
   // Checkpoint instruments (`ivdb_ckpt_*`).
   obs::Counter* ckpt_total_ = nullptr;
   obs::Histogram* ckpt_duration_ = nullptr;
@@ -612,25 +630,16 @@ class Database : public LogApplier, public IndexResolver {
   std::atomic<bool> build_running_{false};
   Status build_result_;
 
-  // Background checkpointer (only when dir set and checkpoint_wal_bytes >
-  // 0): wakes periodically and checkpoints when enough WAL has accumulated.
-  std::thread ckpt_thread_;
-  RankedMutex ckpt_thread_mu_{LockRank::kCkptThread, "ckpt_thread_mu_"};
-  CondVar ckpt_thread_cv_;
-  bool ckpt_stop_ IVDB_GUARDED_BY(ckpt_thread_mu_) = false;
-  uint64_t ckpt_last_bytes_ = 0;  // checkpointer-thread-only
-
-  // Background version collector (only when version_gc_interval_micros >
-  // 0): wakes every interval and runs one GarbageCollectVersions() pass.
-  // gc_thread_mu_ reuses rank kCkptThread — same background-parking family
-  // as the checkpointer's mutex and never nested with it.
-  std::thread gc_thread_;
-  RankedMutex gc_thread_mu_{LockRank::kCkptThread, "gc_thread_mu_"};
-  CondVar gc_thread_cv_;
-  bool gc_stop_ IVDB_GUARDED_BY(gc_thread_mu_) = false;
   // Wall-clock stamp of the last GC pass end (0 = never ran); written by
   // GC passes, read by DumpMetrics() to age the lag gauge.
   std::atomic<uint64_t> last_gc_pass_end_micros_{0};
+
+  // The housekeeper (HousekeeperLoop). Its mutex only parks the thread
+  // and guards the stop flag; no duty runs under it.
+  std::thread housekeeper_;
+  RankedMutex housekeeper_mu_{LockRank::kHousekeeper, "housekeeper_mu_"};
+  CondVar housekeeper_cv_;
+  bool housekeeper_stop_ IVDB_GUARDED_BY(housekeeper_mu_) = false;
 };
 
 }  // namespace ivdb

@@ -294,7 +294,6 @@ Status Database::OnlineBuildFlip(OnlineBuildCtx* ctx) {
                                    0);
           IVDB_RETURN_NOT_OK(
               RegisterView(ctx->id, ctx->def, /*populate=*/false));
-          StartGhostCleaners();
           catalog_.RemoveViewBuild(ctx->id);
           const uint64_t flip_end = clock_->NowMicros();
           build_phase_flip_->Record(flip_end - quiesced_at);

@@ -1,15 +1,12 @@
 #include "txn/epoch_registry.h"
 
-#include <functional>
-#include <thread>
-
+#include "common/clock.h"
 #include "common/invariant.h"
 
 namespace ivdb {
 
 size_t EpochReaderRegistry::SlotForThisThread() {
-  static thread_local const size_t slot =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kSlots;
+  static thread_local const size_t slot = ThisThreadHash() % kSlots;
   return slot;
 }
 

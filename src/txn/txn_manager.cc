@@ -47,22 +47,7 @@ TransactionManager::TransactionManager(LockManager* lock_manager,
                                           : owned_registry_.get()),
       wall_clock_(options.clock != nullptr ? options.clock
                                            : Clock::Default()),
-      flight_(options.flight) {
-  if (options_.max_txn_lifetime_micros > 0) {
-    watchdog_ = std::thread(&TransactionManager::WatchdogLoop, this);
-  }
-}
-
-TransactionManager::~TransactionManager() {
-  if (watchdog_.joinable()) {
-    {
-      MutexLock guard(&watchdog_mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.NotifyAll();
-    watchdog_.join();
-  }
-}
+      flight_(options.flight) {}
 
 // Publishes the descriptor. Caller holds active_mu_.
 Transaction* TransactionManager::Register(std::unique_ptr<Transaction> txn) {
@@ -559,29 +544,6 @@ uint64_t TransactionManager::SweepStuckTransactions() {
     txn->owner_mu().Unlock();
   }
   return reaped;
-}
-
-void TransactionManager::WatchdogLoop() {
-  if (flight_ != nullptr) flight_->SetThreadName("watchdog");
-  const uint64_t lifetime = options_.max_txn_lifetime_micros;
-  // Sweep at a quarter of the lifetime, clamped to [1ms, 1s]: prompt
-  // enough to catch stalls without busy-polling tiny lifetimes.
-  uint64_t period = lifetime / 4;
-  if (period < 1000) period = 1000;
-  if (period > 1000 * 1000) period = 1000 * 1000;
-  UniqueMutexLock lock(&watchdog_mu_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.WaitFor(&lock, std::chrono::microseconds(period));
-    if (watchdog_stop_) break;
-    lock.Unlock();
-    const uint64_t pass_start = wall_clock_->NowMicros();
-    const uint64_t reaped = SweepStuckTransactions();
-    if (flight_ != nullptr) {
-      flight_->Emit(obs::FlightEventType::kWatchdogPass, pass_start,
-                    wall_clock_->NowMicros() - pass_start, reaped);
-    }
-    lock.Lock();
-  }
 }
 
 uint64_t TransactionManager::OldestActiveTs() const {

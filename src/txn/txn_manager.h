@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/mutex.h"
@@ -123,9 +122,9 @@ class TransactionManager {
     // Time source for commit-latency accounting and flight-event
     // timestamps; nullptr => Clock::Default().
     Clock* clock = nullptr;
-    // Engine flight recorder: begin, commit-stage and abort spans and
-    // watchdog passes land on the calling thread's lane. nullptr disables
-    // (unit tests that construct a bare TransactionManager).
+    // Engine flight recorder: begin, commit-stage and abort spans land on
+    // the calling thread's lane. nullptr disables (unit tests that
+    // construct a bare TransactionManager).
     obs::FlightRecorder* flight = nullptr;
     // Admission control: maximum concurrently active *user* transactions
     // (system transactions bypass the gate, like the quiesce gate). 0
@@ -137,9 +136,9 @@ class TransactionManager {
     size_t max_active_txns = 0;
     uint64_t admission_timeout_micros = 1000 * 1000;
     // Stuck-transaction watchdog: user transactions older than this are
-    // force-aborted when their owner latch can be taken (i.e. the owner is
-    // idle between statements — a stalled client, not a running one). 0
-    // disables the watchdog; > 0 also starts the background sweep thread.
+    // force-aborted by SweepStuckTransactions when their owner latch can be
+    // taken (i.e. the owner is idle between statements — a stalled client,
+    // not a running one). 0 disables the watchdog.
     uint64_t max_txn_lifetime_micros = 0;
   };
 
@@ -153,8 +152,6 @@ class TransactionManager {
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
-
-  ~TransactionManager();
 
   // Ungated (the default) Begin only waits on the quiesce gate and NEVER
   // returns null — the contract every pre-admission-control call site was
@@ -263,10 +260,11 @@ class TransactionManager {
   // "Idle" means the owner latch could be taken without blocking — a
   // transaction whose owner thread is mid-operation is skipped and caught
   // on a later pass. Returns the number of transactions aborted. The
-  // background thread calls this periodically; tests with a ManualClock
-  // call it directly for a deterministic sweep. Exempt from the static
-  // analysis: the owner latch is try-acquired inside one scope and released
-  // after the abort, a conditionally-held hand-off clang cannot model.
+  // engine's housekeeper thread calls this periodically; tests with a
+  // ManualClock call it directly for a deterministic sweep. Exempt from the
+  // static analysis: the owner latch is try-acquired inside one scope and
+  // released after the abort, a conditionally-held hand-off clang cannot
+  // model.
   uint64_t SweepStuckTransactions() IVDB_NO_THREAD_SAFETY_ANALYSIS;
 
   // Releases the descriptor of a finished transaction. Optional — finished
@@ -293,7 +291,6 @@ class TransactionManager {
       IVDB_REQUIRES(active_mu_);
   // Records the txn_begin flight event; called after active_mu_ is dropped.
   void EmitBegin(const Transaction* txn);
-  void WatchdogLoop();
 
   // Step-3 sequencer: pops flip_queue_ while the head's COMMIT LSN is
   // <= durable_upto, flipping each popped transaction (reserve visible_ts,
@@ -342,15 +339,6 @@ class TransactionManager {
       IVDB_GUARDED_BY(active_mu_);
   std::map<TxnId, std::unique_ptr<Transaction>> finished_
       IVDB_GUARDED_BY(active_mu_);
-
-  // Stuck-transaction watchdog (only when max_txn_lifetime_micros > 0).
-  // The thread paces itself on real time; transaction ages come from
-  // wall_clock_, so under a ManualClock the thread is inert and tests
-  // drive SweepStuckTransactions() directly.
-  std::thread watchdog_;
-  RankedMutex watchdog_mu_{LockRank::kTxnWatchdog, "watchdog_mu_"};
-  CondVar watchdog_cv_;
-  bool watchdog_stop_ IVDB_GUARDED_BY(watchdog_mu_) = false;
 };
 
 }  // namespace ivdb

@@ -1,7 +1,6 @@
 #include "view/ghost_cleaner.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "catalog/schema.h"
 
@@ -42,9 +41,7 @@ GhostCleaner::GhostCleaner(ObjectId view_id, size_t count_column,
       flight_(options.flight),
       lag_gauge_(options.lag_gauge) {}
 
-GhostCleaner::~GhostCleaner() { Stop(); }
-
-Status GhostCleaner::RunOnce(uint64_t* reclaimed_out) {
+Status GhostCleaner::RunOnce(uint64_t* reclaimed_out, uint64_t* errors_out) {
   const uint64_t pass_start = clock_->NowMicros();
   metrics_.passes->Add();
   BTree* tree = resolver_->GetIndex(view_id_);
@@ -160,7 +157,6 @@ Status GhostCleaner::RunOnce(uint64_t* reclaimed_out) {
       reclaimed += batch_deleted;
     }
   }
-  last_pass_errors_.store(errors, std::memory_order_release);
   metrics_.reclaimed->Add(reclaimed);
   const uint64_t pass_end = clock_->NowMicros();
   const uint64_t prev_end =
@@ -176,51 +172,8 @@ Status GhostCleaner::RunOnce(uint64_t* reclaimed_out) {
                   pass_end - pass_start, view_id_, reclaimed);
   }
   if (reclaimed_out != nullptr) *reclaimed_out = reclaimed;
+  if (errors_out != nullptr) *errors_out = errors;
   return pass_status;
-}
-
-void GhostCleaner::Start(uint64_t interval_micros) {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  thread_ = std::thread([this, interval_micros] {
-    if (flight_ != nullptr) flight_->SetThreadName("ghost-cleaner");
-    uint64_t interval = interval_micros;
-    while (running_.load(std::memory_order_acquire)) {
-      const uint64_t pass_begin = clock_->NowMicros();
-      Status s = RunOnce();
-      const uint64_t pass_micros = clock_->NowMicros() - pass_begin;
-      if (!s.ok() || last_pass_errors_.load(std::memory_order_acquire) > 0) {
-        // Erroring pass: the engine is degraded or flaky. Back off
-        // (doubling, capped at 16x) so a struggling engine is probed
-        // gently instead of hammered.
-        interval = std::min(interval * 2, interval_micros * 16);
-      } else {
-        interval = interval_micros;
-      }
-      // Duty-cycle cap: sleep at least as long as the pass itself ran, so
-      // cleanup occupies at most half the wall clock. A pass holds batch X
-      // locks on the rows it reclaims; back-to-back passes (a short
-      // configured interval on a slow machine or sanitizer build) would
-      // keep re-taking them and starve foreground transactions trying to
-      // stabilize a freshly created aggregate row.
-      interval = std::max(interval, pass_micros);
-      // Sleep in small slices so Stop() is responsive.
-      uint64_t slept = 0;
-      while (slept < interval && running_.load(std::memory_order_acquire)) {
-        uint64_t slice = std::min<uint64_t>(interval - slept, 2000);
-        std::this_thread::sleep_for(std::chrono::microseconds(slice));
-        slept += slice;
-      }
-    }
-  });
-}
-
-void GhostCleaner::Stop() {
-  if (!running_.exchange(false)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace ivdb

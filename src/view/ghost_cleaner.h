@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/clock.h"
 #include "lock/lock_manager.h"
@@ -67,12 +66,12 @@ class GhostCleaner {
     // Time source for the pass-freshness stamp (last_pass_end_micros);
     // nullptr => Clock::Default().
     Clock* clock = nullptr;
-    // Engine flight recorder: the background thread names its lane
-    // ("ghost-cleaner") and records one span per pass. nullptr disables.
+    // Engine flight recorder: every pass records one span on the calling
+    // thread's lane. nullptr disables.
     obs::FlightRecorder* flight = nullptr;
     // Per-view lag gauge, set LIVE at the end of every pass to the interval
     // since the previous pass (0 on the first). DumpMetrics() additionally
-    // ages the same gauge to now - last_pass_end, so a stopped cleaner
+    // ages the same gauge to now - last_pass_end, so a view nobody cleans
     // reads as growing lag. nullptr disables the live update.
     obs::Gauge* lag_gauge = nullptr;
   };
@@ -85,25 +84,18 @@ class GhostCleaner {
                VersionStore* versions)
       : GhostCleaner(view_id, count_column, resolver, locks, txns, versions,
                      Options()) {}
-  ~GhostCleaner();
-
   GhostCleaner(const GhostCleaner&) = delete;
   GhostCleaner& operator=(const GhostCleaner&) = delete;
 
-  // One full pass; *reclaimed (optional) receives the rows removed.
-  // Per-row failures are absorbed (counted in `errors`, row skipped) when
-  // transient — a busy lock, an I/O hiccup — so one bad row never strands
-  // the rest of the pass. The pass itself fails only on non-transient
-  // errors (corruption) or a degraded engine (kUnavailable — every further
-  // row would fail identically, so the pass stops early).
-  Status RunOnce(uint64_t* reclaimed = nullptr);
-
-  // Background mode: a pass every `interval_micros` until Stop(). A pass
-  // that errors (or absorbs per-row errors) doubles the interval, up to
-  // 16x, so a degraded or faulting engine is probed gently instead of
-  // hammered; a clean pass resets the interval.
-  void Start(uint64_t interval_micros);
-  void Stop();
+  // One full pass; *reclaimed (optional) receives the rows removed and
+  // *errors (optional) the rows that failed to reclaim. Per-row failures
+  // are absorbed (counted in `errors`, row skipped) when transient — a busy
+  // lock, an I/O hiccup — so one bad row never strands the rest of the
+  // pass. The pass itself fails only on non-transient errors (corruption)
+  // or a degraded engine (kUnavailable — every further row would fail
+  // identically, so the pass stops early). The engine's housekeeper runs
+  // one pass per view every DatabaseOptions::ghost_cleaner_interval_micros.
+  Status RunOnce(uint64_t* reclaimed = nullptr, uint64_t* errors = nullptr);
 
   const GhostCleanerMetrics& metrics() const { return metrics_; }
 
@@ -128,10 +120,6 @@ class GhostCleaner {
   obs::FlightRecorder* const flight_;
   obs::Gauge* const lag_gauge_;
 
-  std::atomic<bool> running_{false};
-  std::thread thread_;
-  // Errors absorbed by the most recent pass (background backoff signal).
-  std::atomic<uint64_t> last_pass_errors_{0};
   std::atomic<uint64_t> last_pass_end_micros_{0};
 };
 

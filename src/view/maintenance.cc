@@ -331,7 +331,11 @@ Status ViewMaintainer::ApplyAggregateDelta(Transaction* txn,
       break;
     }
     // The ghost cleaner reclaimed the row between creation and our lock
-    // acquisition; go around again.
+    // acquisition; go around again. The lock is fresh (one this
+    // transaction held already would have kept the cleaner out) and guards
+    // nothing yet, so release it: kept, it would block the X lock that
+    // recreating the ghost needs, and every remaining attempt would fail.
+    locks_->Unlock(txn->id(), ResourceId::Key(view_id_, key));
     metrics_.ghost_create_races->Add();
     backoff(attempt);
   }

@@ -281,9 +281,7 @@ Status LogManager::RotateLocked(Lsn seal_end_lsn) {
 
 size_t LogManager::ShardIndex() const {
   // Stable per-thread shard pick; collisions only share a staging buffer.
-  thread_local const size_t hashed =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hashed % shards_.size();
+  return ThisThreadHash() % shards_.size();
 }
 
 Status LogManager::Append(LogRecord* rec) {

@@ -101,6 +101,7 @@ class MvccPropertyTest : public ::testing::Test {
     DatabaseOptions options;
     options.dir = dir_.path();  // checkpoints need a directory
     options.version_gc_interval_micros = 300;  // continuous background GC
+    options.start_ghost_cleaner = true;
     options.ghost_cleaner_interval_micros = 1000;
     options.lock_wait_timeout = std::chrono::milliseconds(2000);
     auto result = Database::Open(options);

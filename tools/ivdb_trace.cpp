@@ -6,7 +6,7 @@
 //   ivdb_trace <snapshot.json> [out.json]     # default out: stdout
 //
 // The export keeps one lane per engine thread (committers, wal-writer,
-// checkpointer, ghost-cleaner, watchdog), emits complete "X" spans with
+// housekeeper, view-builder), emits complete "X" spans with
 // microsecond timestamps, and carries each event's arguments under
 // type-aware keys — commit stage spans and WAL batch/fsync spans both carry
 // the LSN, so a commit can be visually correlated with the exact writer
