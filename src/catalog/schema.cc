@@ -52,16 +52,12 @@ Status DecodeRow(const Slice& data, Row* out) {
   uint64_t n;
   if (!GetVarint64(&input, &n)) return Status::Corruption("row header");
   // Every value costs at least 2 bytes; a count beyond that is corrupt.
-  // Validating before reserve() keeps hostile headers from forcing a huge
-  // allocation.
+  // Validating before resize() keeps hostile headers from forcing a huge
+  // allocation. Each value then decodes straight into its slot, so a reused
+  // row keeps its allocation.
   if (n > input.size() / 2) return Status::Corruption("row count implausible");
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    Value v;
-    IVDB_RETURN_NOT_OK(Value::DecodeFrom(&input, &v));
-    out->push_back(std::move(v));
-  }
+  out->resize(n);
+  for (Value& v : *out) IVDB_RETURN_NOT_OK(Value::DecodeFrom(&input, &v));
   if (!input.empty()) return Status::Corruption("trailing bytes after row");
   return Status::OK();
 }

@@ -47,9 +47,13 @@ class IVDB_CAPABILITY("mutex") RankedMutex {
     mu_.lock();
   }
 
+  // The release is recorded before the unlock: once mu_ is free another
+  // thread may take it and destroy this mutex (the watchdog unlocks a
+  // transaction's owner latch that the owner then frees with Forget), so
+  // no member may be read after it.
   void Unlock() IVDB_RELEASE() {
-    mu_.unlock();
     LockOrderRelease(rank_);
+    mu_.unlock();
   }
 
   // Non-blocking probe; exempt from the rank-order check (see
@@ -88,8 +92,8 @@ class IVDB_CAPABILITY("shared_mutex") RankedSharedMutex {
   }
 
   void Unlock() IVDB_RELEASE() {
-    mu_.unlock();
     LockOrderRelease(rank_);
+    mu_.unlock();
   }
 
   void LockShared() IVDB_ACQUIRE_SHARED() {
@@ -98,8 +102,8 @@ class IVDB_CAPABILITY("shared_mutex") RankedSharedMutex {
   }
 
   void UnlockShared() IVDB_RELEASE_SHARED() {
-    mu_.unlock_shared();
     LockOrderRelease(rank_);
+    mu_.unlock_shared();
   }
 
   LockRank rank() const { return rank_; }
@@ -139,8 +143,8 @@ class IVDB_SCOPED_CAPABILITY UniqueMutexLock {
 
   ~UniqueMutexLock() IVDB_RELEASE() {
     if (lock_.owns_lock()) {
-      lock_.unlock();
       LockOrderRelease(mu_->rank_);
+      lock_.unlock();
     }
   }
 
@@ -148,8 +152,8 @@ class IVDB_SCOPED_CAPABILITY UniqueMutexLock {
   UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
 
   void Unlock() IVDB_RELEASE() {
-    lock_.unlock();
     LockOrderRelease(mu_->rank_);
+    lock_.unlock();
   }
 
   void Lock() IVDB_ACQUIRE() {

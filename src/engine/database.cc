@@ -170,7 +170,6 @@ Database::Database(DatabaseOptions options)
   txn_options.flight = &flight_;
   txn_options.max_active_txns = options_.max_active_txns;
   txn_options.admission_timeout_micros = options_.admission_timeout_micros;
-  txn_options.max_txn_lifetime_micros = options_.max_txn_lifetime_micros;
   txns_ = std::make_unique<TransactionManager>(&locks_, log_.get(),
                                                &versions_, this, txn_options);
   gc_lag_gauge_ = registry_.GetGauge("ivdb_storage_gc_lag_micros");
@@ -623,26 +622,27 @@ Result<const SecondaryIndexInfo*> Database::CreateSecondaryIndex(
                                     std::move(column_indexes)));
   BTree* tree = CreateIndex(index->id);
 
-  // Backfill under a quiescent section, mirroring view population. Copy the
-  // base rows out first: a Scan callback runs under the base tree's shared
-  // latch, and putting into the index tree from inside it would nest two
-  // same-rank latches (the one shape the lock-rank order cannot admit).
+  // Backfill under a quiescent section, mirroring view population. The
+  // base rows stream through ScanChunks, whose visitor runs after the base
+  // tree's latch is released: putting into the index tree under it would
+  // nest two same-rank latches (the one shape the lock-rank order cannot
+  // admit).
   txns_->BeginQuiesce();
   BTree* base = GetIndex(info->id);
-  auto base_rows = base->ScanRange("", nullptr);
-  Status status;
-  for (const auto& [base_key, value] : base_rows) {
-    Row row;
-    status = DecodeRow(value, &row);
-    if (!status.ok()) break;
-    std::string entry_key =
-        EncodeKey(row, index->columns) + EncodeKey(row, info->key_columns);
-    Row pk_values;
-    for (int c : info->key_columns) {
-      pk_values.push_back(row[static_cast<size_t>(c)]);
+  Row row;
+  Status status = base->ScanChunks("", nullptr, [&](const ScanBuffer& chunk) {
+    for (size_t i = 0; i < chunk.size(); i++) {
+      IVDB_RETURN_NOT_OK(DecodeRow(chunk.value(i), &row));
+      std::string entry_key =
+          EncodeKey(row, index->columns) + EncodeKey(row, info->key_columns);
+      Row pk_values;
+      for (int c : info->key_columns) {
+        pk_values.push_back(row[static_cast<size_t>(c)]);
+      }
+      tree->Put(entry_key, EncodeRow(pk_values));
     }
-    tree->Put(entry_key, EncodeRow(pk_values));
-  }
+    return Status::OK();
+  });
   txns_->EndQuiesce();
   IVDB_RETURN_NOT_OK(status);
 
@@ -983,9 +983,24 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
   BTree* tree = GetIndex(object_id);
   if (tree == nullptr) return Status::NotFound("unknown object");
   std::vector<std::pair<std::string, Row>> out;
+  // A full scan returns about the whole tree; a bounded one is sized for
+  // its first chunk and grows from there.
+  const uint64_t rows = tree->size();
+  out.reserve(begin.empty() && end == nullptr
+                  ? rows
+                  : std::min<uint64_t>(rows, BTree::kScanChunk));
   std::optional<Slice> end_slice;
   if (end != nullptr) end_slice = Slice(*end);
   const Slice* end_ptr = end_slice.has_value() ? &*end_slice : nullptr;
+  // Appends every entry of a chunk, decoded, to `out`.
+  auto decode_chunk = [&out](const ScanBuffer& chunk) -> Status {
+    for (size_t i = 0; i < chunk.size(); i++) {
+      Row row;
+      IVDB_RETURN_NOT_OK(DecodeRow(chunk.value(i), &row));
+      out.emplace_back(chunk.key(i).ToString(), std::move(row));
+    }
+    return Status::OK();
+  };
 
   bool key_range =
       key_range_eligible && options_.scan_locking == ScanLockingMode::kKeyRange;
@@ -999,16 +1014,23 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
         // a row in before our first boundary lock was granted.
         IVDB_RETURN_NOT_OK(locks_.Lock(
             txn->id(), ResourceId::Object(object_id), LockMode::kIS));
+        std::vector<std::string> locked;
         while (true) {
-          auto entries = tree->ScanRange(begin, end_ptr);
-          for (auto& [key, value] : entries) {
-            IVDB_RETURN_NOT_OK(locks_.Lock(
-                txn->id(), ResourceId::Key(object_id, key), LockMode::kS));
-            IVDB_RETURN_NOT_OK(
-                locks_.Lock(txn->id(),
-                            ResourceId::Key(object_id, GapResource(key)),
-                            LockMode::kS));
-          }
+          locked.clear();
+          IVDB_RETURN_NOT_OK(tree->ScanChunks(
+              begin, end_ptr, [&](const ScanBuffer& chunk) -> Status {
+                for (size_t i = 0; i < chunk.size(); i++) {
+                  std::string key = chunk.key(i).ToString();
+                  IVDB_RETURN_NOT_OK(locks_.Lock(
+                      txn->id(), ResourceId::Key(object_id, key),
+                      LockMode::kS));
+                  IVDB_RETURN_NOT_OK(locks_.Lock(
+                      txn->id(), ResourceId::Key(object_id, GapResource(key)),
+                      LockMode::kS));
+                  locked.push_back(std::move(key));
+                }
+                return Status::OK();
+              }));
           // Upper boundary: the gap below the first key at/after the end.
           std::optional<std::string> boundary;
           if (end != nullptr) {
@@ -1023,26 +1045,19 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
               txn->id(), ResourceId::Key(object_id, boundary_gap),
               LockMode::kS));
           // Validate stability: locks held, so a second scan returning the
-          // same keys proves no phantom slipped in during acquisition.
-          auto check = tree->ScanRange(begin, end_ptr);
-          if (check.size() == entries.size()) {
-            bool same = true;
-            for (size_t i = 0; i < check.size(); i++) {
-              if (check[i].first != entries[i].first) {
-                same = false;
-                break;
-              }
-            }
-            if (same) {
-              out.reserve(entries.size());
-              for (auto& [key, value] : check) {
-                Row row;
-                IVDB_RETURN_NOT_OK(DecodeRow(value, &row));
-                out.emplace_back(std::move(key), std::move(row));
-              }
-              return out;
-            }
-          }
+          // same keys proves no phantom slipped in during acquisition. It
+          // reads the rows as it goes.
+          out.clear();
+          bool same = true;
+          IVDB_RETURN_NOT_OK(tree->ScanChunks(
+              begin, end_ptr, [&](const ScanBuffer& chunk) -> Status {
+                for (size_t i = 0; same && i < chunk.size(); i++) {
+                  same = out.size() + i < locked.size() &&
+                         chunk.key(i) == Slice(locked[out.size() + i]);
+                }
+                return same ? decode_chunk(chunk) : Status::OK();
+              }));
+          if (same && out.size() == locked.size()) return out;
           // Contents moved under us; with the acquired locks now held the
           // next iteration stabilizes.
         }
@@ -1051,16 +1066,9 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
       IVDB_RETURN_NOT_OK(
           locks_.Lock(txn->id(), ResourceId::Object(object_id), LockMode::kS));
       [[fallthrough]];
-    case ReadMode::kDirty: {
-      auto entries = tree->ScanRange(begin, end_ptr);
-      out.reserve(entries.size());
-      for (auto& [key, value] : entries) {
-        Row row;
-        IVDB_RETURN_NOT_OK(DecodeRow(value, &row));
-        out.emplace_back(std::move(key), std::move(row));
-      }
+    case ReadMode::kDirty:
+      IVDB_RETURN_NOT_OK(tree->ScanChunks(begin, end_ptr, decode_chunk));
       return out;
-    }
     case ReadMode::kSnapshot: {
       // Read-optimized path: a FULL-object scan of a cache-enabled object
       // (an indexed view) is served from the last-committed-row cache, with
@@ -1098,11 +1106,11 @@ Result<std::vector<std::pair<std::string, Row>>> Database::ScanObject(
       }
       IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
           object_id, tree, begin, end_ptr, txn->begin_ts(),
-          [&out](const std::string& key, const std::string& value,
+          [&out](const Slice& key, const Slice& value,
                  const std::vector<std::vector<ColumnDelta>>& subtract) {
             Row row;
             IVDB_RETURN_NOT_OK(DecodeVisibleRow(value, subtract, &row));
-            out.emplace_back(key, std::move(row));
+            out.emplace_back(key.ToString(), std::move(row));
             return Status::OK();
           }));
       // First full scan of a cacheable object populates the cache (first
@@ -1289,7 +1297,7 @@ Status Database::BuildIndexImage(ObjectId object_id, uint64_t as_of_ts,
   uint64_t count = 0;
   IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
       object_id, tree, "", nullptr, as_of_ts,
-      [&](const std::string& key, const std::string& value,
+      [&](const Slice& key, const Slice& value,
           const std::vector<std::vector<ColumnDelta>>& subtract) {
         count++;
         PutLengthPrefixed(payload, key);
@@ -1836,7 +1844,8 @@ void Database::HousekeeperLoop() {
     const Steady::time_point now = Steady::now();
     if (now >= sweep_due) {
       const uint64_t pass_start = clock_->NowMicros();
-      const uint64_t reaped = txns_->SweepStuckTransactions();
+      const uint64_t reaped =
+          txns_->SweepStuckTransactions(options_.max_txn_lifetime_micros);
       flight_.Emit(obs::FlightEventType::kWatchdogPass, pass_start,
                    clock_->NowMicros() - pass_start, reaped);
       reschedule(&sweep_due, sweep_period);
@@ -1890,19 +1899,19 @@ Status Database::VerifyViewConsistency(const std::string& view) const {
   auto it = indexes_.find(entry->info.id);
   if (it == indexes_.end()) return Status::Corruption("view index missing");
   std::map<std::string, Row> stored;
-  Status decode_status;
-  it->second->Scan("", nullptr, [&](const Slice& key, const Slice& value) {
-    Row row;
-    decode_status = DecodeRow(value, &row);
-    if (!decode_status.ok()) return false;
-    if (entry->info.definition.kind == ViewKind::kAggregate &&
-        row[entry->info.definition.CountColumnIndex()].AsInt64() == 0) {
-      return true;  // ghost: logically absent
-    }
-    stored[key.ToString()] = std::move(row);
-    return true;
-  });
-  IVDB_RETURN_NOT_OK(decode_status);
+  IVDB_RETURN_NOT_OK(it->second->ScanChunks(
+      "", nullptr, [&](const ScanBuffer& chunk) -> Status {
+        for (size_t i = 0; i < chunk.size(); i++) {
+          Row row;
+          IVDB_RETURN_NOT_OK(DecodeRow(chunk.value(i), &row));
+          if (entry->info.definition.kind == ViewKind::kAggregate &&
+              row[entry->info.definition.CountColumnIndex()].AsInt64() == 0) {
+            continue;  // ghost: logically absent
+          }
+          stored[chunk.key(i).ToString()] = std::move(row);
+        }
+        return Status::OK();
+      }));
 
   if (stored.size() != expected.size()) {
     return Status::Corruption(

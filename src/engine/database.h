@@ -140,7 +140,8 @@ struct DatabaseOptions {
   // (wall-clock age since Begin, owner thread not inside an engine call)
   // are force-aborted by the housekeeper's sweep, every quarter lifetime
   // (clamped to [1 ms, 1 s]), releasing their locks. 0 — the default —
-  // disables the watchdog. See docs/ROBUSTNESS.md §3.
+  // disables the watchdog; AbortStuckTransactions takes its own limit and
+  // works either way. See docs/ROBUSTNESS.md §3.
   uint64_t max_txn_lifetime_micros = 0;
 
   // Time source for retry backoff sleeps, watchdog age accounting, and
@@ -363,11 +364,14 @@ class Database : public LogApplier, public IndexResolver {
   // database, whose recovery rebuilds state from the durable prefix.
   bool degraded() const { return log_->poisoned(); }
 
-  // Runs one stuck-transaction watchdog pass right now (see
-  // DatabaseOptions::max_txn_lifetime_micros); returns the number of
-  // transactions aborted. The housekeeper sweeps periodically; ManualClock
-  // tests call this directly.
-  uint64_t AbortStuckTransactions() { return txns_->SweepStuckTransactions(); }
+  // Runs one stuck-transaction watchdog pass right now: aborts every idle
+  // user transaction at least `max_lifetime_micros` old (0 aborts nothing)
+  // and returns how many it aborted. The housekeeper sweeps periodically
+  // with DatabaseOptions::max_txn_lifetime_micros; a ManualClock test
+  // leaves that option at 0, so no housekeeper sweep races its own call.
+  uint64_t AbortStuckTransactions(uint64_t max_lifetime_micros) {
+    return txns_->SweepStuckTransactions(max_lifetime_micros);
+  }
 
   // Test/benchmark oracle: recomputes the view from base tables and compares
   // with the stored index (must be called while quiescent).

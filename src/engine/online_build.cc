@@ -138,7 +138,7 @@ Status Database::OnlineBuildScan(OnlineBuildCtx* ctx) {
   };
   IVDB_RETURN_NOT_OK(versions_.SnapshotScan(
       ctx->fact->id, tree, "", nullptr, ctx->cap.capture_ts,
-      [&](const std::string&, const std::string& value,
+      [&](const Slice&, const Slice& value,
           const std::vector<std::vector<ColumnDelta>>& subtract) {
         DeferredChange change;
         change.table_id = ctx->fact->id;

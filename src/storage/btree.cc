@@ -310,32 +310,38 @@ std::optional<std::string> BTree::Successor(const Slice& key) const {
   return std::nullopt;
 }
 
-void BTree::Scan(const Slice& begin, const Slice* end,
-                 const std::function<bool(const Slice&, const Slice&)>&
-                     callback) const {
+void BTree::ScanRange(const Slice& begin, const Slice* end, size_t limit,
+                      ScanBuffer* out) const {
+  out->Clear();
   ReaderMutexLock latch(&latch_);
   const Node* leaf = FindLeaf(begin);
   size_t pos = LeafLowerBound(leaf->keys, begin);
   while (leaf != nullptr) {
     for (; pos < leaf->keys.size(); pos++) {
+      if (out->size() == limit) return;
       const std::string& k = leaf->keys[pos];
       if (end != nullptr && !(Slice(k) < *end)) return;
-      if (!callback(Slice(k), Slice(leaf->values[pos]))) return;
+      out->Append(k, leaf->values[pos]);
     }
     leaf = leaf->next;
     pos = 0;
   }
 }
 
-std::vector<std::pair<std::string, std::string>> BTree::ScanRange(
-    const Slice& begin, const Slice* end, size_t limit) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  if (limit == 0) return out;
-  Scan(begin, end, [&out, limit](const Slice& k, const Slice& v) {
-    out.emplace_back(k.ToString(), v.ToString());
-    return out.size() < limit;
-  });
-  return out;
+Status BTree::ScanChunks(
+    const Slice& begin, const Slice* end,
+    const std::function<Status(const ScanBuffer&)>& visit) const {
+  ScanBuffer chunk;
+  std::string cursor = begin.ToString();
+  while (true) {
+    ScanRange(cursor, end, kScanChunk, &chunk);
+    if (!chunk.empty()) IVDB_RETURN_NOT_OK(visit(chunk));
+    if (chunk.size() < kScanChunk) return Status::OK();
+    // The next chunk starts just past this one's last key.
+    const Slice last = chunk.key(chunk.size() - 1);
+    cursor.assign(last.data(), last.size());
+    cursor.push_back('\0');
+  }
 }
 
 void BTree::Clear() {

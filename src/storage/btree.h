@@ -16,16 +16,56 @@
 
 namespace ivdb {
 
+// Leaf entries copied out of a BTree by ScanRange: keys and values back to
+// back in one byte buffer, plus each entry's end offsets. The caller owns it
+// and reuses it across copies, so a chunked scan allocates only while the
+// buffer is still growing. key(i) and value(i) point into the buffer and
+// are valid until its next copy or Clear.
+class ScanBuffer {
+ public:
+  size_t size() const { return ends_.size(); }
+  bool empty() const { return ends_.empty(); }
+
+  Slice key(size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends_[i - 1].value;
+    return Slice(bytes_.data() + begin, ends_[i].key - begin);
+  }
+  Slice value(size_t i) const {
+    return Slice(bytes_.data() + ends_[i].key, ends_[i].value - ends_[i].key);
+  }
+
+  void Clear() {
+    bytes_.clear();
+    ends_.clear();
+  }
+  void Append(const Slice& key, const Slice& value) {
+    bytes_.append(key.data(), key.size());
+    const size_t key_end = bytes_.size();
+    bytes_.append(value.data(), value.size());
+    ends_.push_back({key_end, bytes_.size()});
+  }
+
+ private:
+  struct End {
+    size_t key;    // one past the entry's key
+    size_t value;  // one past the entry's value
+  };
+  std::string bytes_;
+  std::vector<End> ends_;
+};
+
 // In-memory B+-tree mapping binary keys to binary values. Keys compare
 // bytewise, so callers store order-preserving encodings (see
 // common/coding.h). Used for base-table primary indexes and view indexes.
 //
-// Concurrency: one reader-writer latch per tree. Readers (Get/Scan/
+// Concurrency: one reader-writer latch per tree. Readers (Get/ScanRange/
 // Serialize) share; mutators are exclusive. Transaction-level isolation is
 // the lock manager's job — the tree latch only protects physical structure,
 // and is held for the duration of a single operation (the classic
 // latch-vs-lock split; fine-grained latch crabbing is an orthogonal
-// optimization this reproduction does not need).
+// optimization this reproduction does not need). A range read holds it
+// only to copy at most one chunk of entries, and runs no caller code under
+// it.
 //
 // Deletion rebalances: an underfull node first borrows from an adjacent
 // sibling, else merges with it, so every non-root node stays at least half
@@ -37,6 +77,9 @@ class BTree {
   // frequent enough to be exercised by unit tests.
   static constexpr size_t kMaxEntries = 64;
   static constexpr size_t kMinEntries = kMaxEntries / 2;
+  // Entries a chunked range read (ScanChunks, VersionStore::SnapshotScan)
+  // copies under one hold of the shared latch.
+  static constexpr size_t kScanChunk = 256;
 
   BTree();
   ~BTree();
@@ -69,17 +112,21 @@ class BTree {
   bool ModifyInPlace(const Slice& key,
                      const std::function<void(std::string* value)>& fn);
 
-  // Visits entries with begin <= key (< end when end is non-null) in order.
-  // Return false from the callback to stop. The callback runs under the
-  // tree's shared latch: it must not mutate this tree.
-  void Scan(const Slice& begin, const Slice* end,
-            const std::function<bool(const Slice& key, const Slice& value)>&
-                callback) const;
+  // Replaces the contents of *out with the first `limit` entries in
+  // [begin, end), copied under one hold of the shared latch. A reused *out
+  // allocates under the latch only while it is still growing.
+  void ScanRange(const Slice& begin, const Slice* end, size_t limit,
+                 ScanBuffer* out) const;
 
-  // Copies out the first `limit` entries in [begin, end) (all of them by
-  // default) under one hold of the shared latch.
-  std::vector<std::pair<std::string, std::string>> ScanRange(
-      const Slice& begin, const Slice* end, size_t limit = SIZE_MAX) const;
+  // Walks [begin, end) in ScanRange copies of kScanChunk entries through one
+  // buffer, calling `visit` on each copy with no latch held. Each chunk is
+  // copied at its own instant, so the walk reads one consistent state only
+  // while the caller keeps the range still (a quiescent section, held
+  // locks) or accepts a dirty read. A non-OK status from `visit` stops the
+  // walk and is returned.
+  Status ScanChunks(const Slice& begin, const Slice* end,
+                    const std::function<Status(const ScanBuffer& chunk)>&
+                        visit) const;
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 

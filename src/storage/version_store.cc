@@ -475,9 +475,9 @@ Status VersionStore::SnapshotScan(uint32_t object_id, const BTree* tree,
   static const std::vector<std::vector<ColumnDelta>> kNoDeltas;
   const std::string end_key = end == nullptr ? std::string() : end->ToString();
   std::string cursor = begin.ToString();
+  ScanBuffer copy;
   std::vector<std::string> chained;
   while (true) {
-    std::vector<std::pair<std::string, std::string>> copy;
     // A full chunk owns [cursor, next_cursor), next_cursor being the
     // successor of its last key; a short chunk owns the rest of the range.
     std::string next_cursor;
@@ -485,11 +485,12 @@ Status VersionStore::SnapshotScan(uint32_t object_id, const BTree* tree,
     chained.clear();
     {
       ReaderMutexLock chunk(&version_scan_mu_);
-      copy = tree->ScanRange(cursor, end, kSnapshotScanChunk);
+      tree->ScanRange(cursor, end, kSnapshotScanChunk, &copy);
       last_chunk = copy.size() < kSnapshotScanChunk;
       const std::string* chunk_end = end == nullptr ? nullptr : &end_key;
       if (!last_chunk) {
-        next_cursor = copy.back().first + '\0';
+        next_cursor = copy.key(copy.size() - 1).ToString();
+        next_cursor.push_back('\0');
         chunk_end = &next_cursor;
       }
       ChainedKeysInRange(object_id, cursor, chunk_end, &chained);
@@ -508,14 +509,15 @@ Status VersionStore::SnapshotScan(uint32_t object_id, const BTree* tree,
     // Merge the copy with the chained keys, which may include keys the copy
     // lacks (deleted after the snapshot).
     size_t c = 0;
-    for (const auto& [key, value] : copy) {
-      for (; c < chained.size() && chained[c] < key; c++) {
+    for (size_t i = 0; i < copy.size(); i++) {
+      const Slice key = copy.key(i);
+      for (; c < chained.size() && Slice(chained[c]) < key; c++) {
         IVDB_RETURN_NOT_OK(resolve(chained[c]));
       }
-      if (c < chained.size() && chained[c] == key) {
+      if (c < chained.size() && Slice(chained[c]) == key) {
         IVDB_RETURN_NOT_OK(resolve(chained[c++]));
       } else {
-        IVDB_RETURN_NOT_OK(visit(key, value, kNoDeltas));
+        IVDB_RETURN_NOT_OK(visit(key, copy.value(i), kNoDeltas));
       }
     }
     for (; c < chained.size(); c++) IVDB_RETURN_NOT_OK(resolve(chained[c]));

@@ -174,24 +174,26 @@ class VersionStore {
                                  std::optional<std::string>* physical) const;
 
   // Leaf entries one SnapshotScan chunk copies under the tree latch.
-  static constexpr size_t kSnapshotScanChunk = 256;
+  static constexpr size_t kSnapshotScanChunk = BTree::kScanChunk;
 
   // One row visible to a snapshot scan: its key, the base image, and the
   // delta sets the reader must strip from it (empty when the base image is
-  // the committed row).
+  // the committed row). `key` and `value` point into the scan's buffers and
+  // are valid only during the call; copy what must outlive it.
   using ScanVisitor = std::function<Status(
-      const std::string& key, const std::string& value,
+      const Slice& key, const Slice& value,
       const std::vector<std::vector<ColumnDelta>>& subtract)>;
 
   // Visits, in key order, every row of `object_id` in [begin, end) (end
   // nullptr = unbounded) visible at `snapshot_ts`; `tree` is the object's
-  // index. Walks the range in chunks of kSnapshotScanChunk leaf entries.
-  // Per chunk, with version_scan_mu_ held shared, it copies the entries
-  // under the tree's shared latch and then lists the version chains of
-  // only the chunk's key range. Chained keys resolve via GetAsOfConsistent
-  // (a key deleted after the snapshot is visible only through its chain);
-  // every other key is served from the copy. `visit` runs with no lock
-  // held; a non-OK status from it stops the scan and is returned.
+  // index. Walks the range in chunks of kSnapshotScanChunk leaf entries,
+  // each copied into one ScanBuffer the scan reuses. Per chunk, with
+  // version_scan_mu_ held shared, it copies the entries under the tree's
+  // shared latch and then lists the version chains of only the chunk's key
+  // range. Chained keys resolve via GetAsOfConsistent (a key deleted after
+  // the snapshot is visible only through its chain); every other key is
+  // served from the copy. `visit` runs with no lock held; a non-OK status
+  // from it stops the scan and is returned.
   //
   // Why the lock: a rollback restores the physical row before Abort
   // unlinks its pending entry. Without the lock a chunk could copy the

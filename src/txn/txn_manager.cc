@@ -499,16 +499,16 @@ void TransactionManager::FinishTxn(Transaction* txn, TxnState final_state) {
   clock_.BumpIdle();
 }
 
-uint64_t TransactionManager::SweepStuckTransactions() {
-  if (options_.max_txn_lifetime_micros == 0) return 0;
+uint64_t TransactionManager::SweepStuckTransactions(
+    uint64_t max_lifetime_micros) {
+  if (max_lifetime_micros == 0) return 0;
   const uint64_t now = wall_clock_->NowMicros();
   std::vector<TxnId> expired;
   {
     MutexLock guard(&active_mu_);
     for (const auto& [id, txn] : active_) {
       if (txn->is_system()) continue;
-      if (now - txn->begin_wall_micros() >=
-          options_.max_txn_lifetime_micros) {
+      if (now - txn->begin_wall_micros() >= max_lifetime_micros) {
         expired.push_back(id);
       }
     }

@@ -135,11 +135,6 @@ class TransactionManager {
     // the gate entirely but still count against it.
     size_t max_active_txns = 0;
     uint64_t admission_timeout_micros = 1000 * 1000;
-    // Stuck-transaction watchdog: user transactions older than this are
-    // force-aborted by SweepStuckTransactions when their owner latch can be
-    // taken (i.e. the owner is idle between statements — a stalled client,
-    // not a running one). 0 disables the watchdog.
-    uint64_t max_txn_lifetime_micros = 0;
   };
 
   TransactionManager(LockManager* lock_manager, LogManager* log_manager,
@@ -256,16 +251,17 @@ class TransactionManager {
   void ReleaseCheckpointReader(Transaction* reader);
 
   // One watchdog pass: aborts every *idle* user transaction whose age
-  // exceeds max_txn_lifetime_micros (no-op when the watchdog is disabled).
+  // (wall clock since Begin) has reached `max_lifetime_micros` (0 = no-op).
   // "Idle" means the owner latch could be taken without blocking — a
   // transaction whose owner thread is mid-operation is skipped and caught
   // on a later pass. Returns the number of transactions aborted. The
-  // engine's housekeeper thread calls this periodically; tests with a
-  // ManualClock call it directly for a deterministic sweep. Exempt from the
-  // static analysis: the owner latch is try-acquired inside one scope and
-  // released after the abort, a conditionally-held hand-off clang cannot
-  // model.
-  uint64_t SweepStuckTransactions() IVDB_NO_THREAD_SAFETY_ANALYSIS;
+  // engine's housekeeper thread calls this periodically with
+  // DatabaseOptions::max_txn_lifetime_micros; tests with a ManualClock call
+  // it directly for a deterministic sweep. Exempt from the static analysis:
+  // the owner latch is try-acquired inside one scope and released after the
+  // abort, a conditionally-held hand-off clang cannot model.
+  uint64_t SweepStuckTransactions(uint64_t max_lifetime_micros)
+      IVDB_NO_THREAD_SAFETY_ANALYSIS;
 
   // Releases the descriptor of a finished transaction. Optional — finished
   // descriptors are also reclaimed lazily — but long-running benchmarks

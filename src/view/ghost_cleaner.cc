@@ -47,24 +47,21 @@ Status GhostCleaner::RunOnce(uint64_t* reclaimed_out, uint64_t* errors_out) {
   BTree* tree = resolver_->GetIndex(view_id_);
   if (tree == nullptr) return Status::Corruption("view index missing");
 
-  // Collect candidate keys first (cheap shared-latch scan), then reclaim
-  // each under its own system transaction.
+  // Collect candidate keys first (a chunked copy; rows decode outside the
+  // tree latch), then reclaim each under its own system transaction.
   std::vector<std::string> candidates;
-  Status scan_status;
-  tree->Scan("", nullptr, [&](const Slice& key, const Slice& value) {
-    Row row;
-    Status s = DecodeRow(value, &row);
-    if (!s.ok()) {
-      scan_status = s;
-      return false;
-    }
-    if (count_column_ < row.size() && !row[count_column_].is_null() &&
-        row[count_column_].AsInt64() == 0) {
-      candidates.push_back(key.ToString());
-    }
-    return true;
-  });
-  IVDB_RETURN_NOT_OK(scan_status);
+  Row row;
+  IVDB_RETURN_NOT_OK(
+      tree->ScanChunks("", nullptr, [&](const ScanBuffer& chunk) -> Status {
+        for (size_t i = 0; i < chunk.size(); i++) {
+          IVDB_RETURN_NOT_OK(DecodeRow(chunk.value(i), &row));
+          if (count_column_ < row.size() && !row[count_column_].is_null() &&
+              row[count_column_].AsInt64() == 0) {
+            candidates.push_back(chunk.key(i).ToString());
+          }
+        }
+        return Status::OK();
+      }));
   metrics_.candidates_seen->Add(candidates.size());
 
   uint64_t reclaimed = 0;

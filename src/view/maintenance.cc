@@ -567,49 +567,25 @@ Status ViewMaintainer::Recompute(std::map<std::string, Row>* out) const {
   BTree* fact_tree = resolver_->GetIndex(def_.fact_table);
   if (fact_tree == nullptr) return Status::Corruption("fact table missing");
 
-  Status status;
-  auto rows = fact_tree->ScanRange("", nullptr);
+  // Every fact row is an insert into an empty view. The rows stream through
+  // the offline apply one chunk at a time, so only one chunk of the fact
+  // table is copied and decoded at once.
   std::vector<DeferredChange> batch;
-  batch.reserve(rows.size());
-  for (const auto& [key, value] : rows) {
-    DeferredChange change;
-    change.table_id = def_.fact_table;
-    change.op = DeferredChange::Op::kInsert;
-    IVDB_RETURN_NOT_OK(DecodeRow(value, &change.new_row));
-    batch.push_back(std::move(change));
-  }
-
-  if (def_.kind == ViewKind::kProjection) {
-    for (const DeferredChange& change : batch) {
-      std::optional<Row> joined;
-      IVDB_RETURN_NOT_OK(JoinAndFilter(change.new_row, nullptr, &joined));
-      if (!joined.has_value()) continue;
-      Row projected;
-      for (int p : def_.projection) {
-        projected.push_back((*joined)[static_cast<size_t>(p)]);
-      }
-      std::vector<Value> key_values;
-      for (int k : def_.projection_key) {
-        key_values.push_back(projected[static_cast<size_t>(k)]);
-      }
-      std::string key = EncodeKeyValues(key_values);
-      if (out->count(key) != 0) {
-        return Status::InvalidArgument(
-            "projection view key is not unique over current data");
-      }
-      (*out)[key] = std::move(projected);
-    }
-    return Status::OK();
-  }
-
-  std::vector<AggregateDelta> deltas;
-  IVDB_RETURN_NOT_OK(ComputeAggregateDeltasImpl(batch, nullptr, &deltas));
-  for (const AggregateDelta& delta : deltas) {
-    Row row = GhostRow(delta.group);
-    IVDB_RETURN_NOT_OK(ApplyIncrementToRow(&row, delta.deltas));
+  IVDB_RETURN_NOT_OK(
+      fact_tree->ScanChunks("", nullptr, [&](const ScanBuffer& chunk) {
+        batch.resize(chunk.size());
+        for (size_t i = 0; i < chunk.size(); i++) {
+          batch[i].table_id = def_.fact_table;
+          batch[i].op = DeferredChange::Op::kInsert;
+          IVDB_RETURN_NOT_OK(DecodeRow(chunk.value(i), &batch[i].new_row));
+        }
+        return ApplyBatchOffline(batch, out);
+      }));
+  if (def_.kind == ViewKind::kAggregate) {
     // Groups whose net count is zero are ghosts: logically absent.
-    if (row[def_.CountColumnIndex()].AsInt64() == 0) continue;
-    (*out)[EncodeKeyValues(delta.group)] = std::move(row);
+    std::erase_if(*out, [this](const auto& entry) {
+      return entry.second[def_.CountColumnIndex()].AsInt64() == 0;
+    });
   }
   return Status::OK();
 }

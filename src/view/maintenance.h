@@ -105,7 +105,9 @@ class ViewMaintainer {
 
   // Full evaluation of the view from current base-table contents (dirty
   // read). Used for initial population and as the consistency oracle in
-  // tests. Ghosts (count == 0) do not appear.
+  // tests. Ghosts (count == 0) do not appear. Streams the fact table one
+  // chunk at a time through ApplyBatchOffline, so the caller must keep the
+  // base tables still (a quiescent section) for a consistent result.
   Status Recompute(std::map<std::string, Row>* out) const;
 
   // Expands one base change into net aggregate deltas (visible for tests).

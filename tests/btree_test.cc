@@ -18,13 +18,25 @@ std::string Key(int i) {
   return k;
 }
 
+// The entries of [begin, end), copied with one ScanRange.
+std::vector<std::pair<std::string, std::string>> Entries(
+    const BTree& tree, const Slice& begin = "", const Slice* end = nullptr) {
+  ScanBuffer buf;
+  tree.ScanRange(begin, end, SIZE_MAX, &buf);
+  std::vector<std::pair<std::string, std::string>> out;
+  for (size_t i = 0; i < buf.size(); i++) {
+    out.emplace_back(buf.key(i).ToString(), buf.value(i).ToString());
+  }
+  return out;
+}
+
 TEST(BTree, EmptyTree) {
   BTree tree;
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.Contains("x"));
   EXPECT_TRUE(tree.Validate().ok());
   EXPECT_EQ(tree.Depth(), 1);
-  EXPECT_TRUE(tree.ScanRange("", nullptr).empty());
+  EXPECT_TRUE(Entries(tree).empty());
 }
 
 TEST(BTree, PutGetSingle) {
@@ -97,7 +109,7 @@ TEST(BTree, ReverseInsertionOrder) {
     ASSERT_TRUE(tree.Put(Key(i), "v"));
   }
   ASSERT_TRUE(tree.Validate().ok());
-  auto all = tree.ScanRange("", nullptr);
+  auto all = Entries(tree);
   ASSERT_EQ(all.size(), 5000u);
   for (size_t i = 1; i < all.size(); i++) {
     EXPECT_LT(all[i - 1].first, all[i].first);
@@ -109,21 +121,64 @@ TEST(BTree, ScanRangeBounds) {
   for (int i = 0; i < 100; i++) tree.Put(Key(i), std::to_string(i));
   std::string end_str = Key(20);
   Slice end(end_str);
-  auto some = tree.ScanRange(Key(10), &end);
+  auto some = Entries(tree, Key(10), &end);
   ASSERT_EQ(some.size(), 10u);
   EXPECT_EQ(some.front().second, "10");
   EXPECT_EQ(some.back().second, "19");
 }
 
-TEST(BTree, ScanEarlyStop) {
+TEST(BTree, ScanRangeRefillsTheBufferWithOnlyItsOwnEntries) {
   BTree tree;
-  for (int i = 0; i < 100; i++) tree.Put(Key(i), "v");
-  int seen = 0;
-  tree.Scan("", nullptr, [&](const Slice&, const Slice&) {
-    seen++;
-    return seen < 7;
+  for (int i = 0; i < 100; i++) tree.Put(Key(i), std::string(i, 'v'));
+  ScanBuffer buf;
+  // A copy bounded by its limit...
+  tree.ScanRange(Key(40), nullptr, 30, &buf);
+  ASSERT_EQ(buf.size(), 30u);
+  EXPECT_EQ(buf.key(0), Slice(Key(40)));
+  EXPECT_EQ(buf.key(29), Slice(Key(69)));
+  EXPECT_EQ(buf.value(29), Slice(std::string(69, 'v')));
+  // ...then a shorter one into the same buffer, bounded by its end: it
+  // holds its own entries and nothing of the first copy.
+  const std::string end_key = Key(13);
+  const Slice end(end_key);
+  tree.ScanRange(Key(10), &end, 30, &buf);
+  ASSERT_EQ(buf.size(), 3u);
+  for (size_t i = 0; i < buf.size(); i++) {
+    const int k = 10 + static_cast<int>(i);
+    EXPECT_EQ(buf.key(i), Slice(Key(k)));
+    EXPECT_EQ(buf.value(i), Slice(std::string(k, 'v')));
+  }
+  // A copy past the last key empties it.
+  tree.ScanRange(Key(100), nullptr, 30, &buf);
+  EXPECT_TRUE(buf.empty());
+}
+
+TEST(BTree, ScanChunksVisitsEveryEntryOneChunkAtATime) {
+  BTree tree;
+  const int n = 2 * static_cast<int>(BTree::kScanChunk) + 88;
+  for (int i = 0; i < n; i++) tree.Put(Key(i), std::to_string(i));
+  std::vector<size_t> sizes;
+  int next = 0;
+  Status s = tree.ScanChunks("", nullptr, [&](const ScanBuffer& chunk) {
+    sizes.push_back(chunk.size());
+    for (size_t i = 0; i < chunk.size(); i++, next++) {
+      EXPECT_EQ(chunk.key(i), Slice(Key(next)));
+      EXPECT_EQ(chunk.value(i), Slice(std::to_string(next)));
+    }
+    return Status::OK();
   });
-  EXPECT_EQ(seen, 7);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(next, n);
+  EXPECT_EQ(sizes, (std::vector<size_t>{BTree::kScanChunk, BTree::kScanChunk,
+                                        88}));
+
+  // A visitor error stops the walk and is returned.
+  int chunks = 0;
+  s = tree.ScanChunks("", nullptr, [&](const ScanBuffer&) {
+    return ++chunks == 2 ? Status::Aborted("stop") : Status::OK();
+  });
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(chunks, 2);
 }
 
 TEST(BTree, ModifyInPlace) {
@@ -174,7 +229,7 @@ TEST(BTree, RandomOpsMatchStdMap) {
   }
   ASSERT_TRUE(tree.Validate().ok());
   EXPECT_EQ(tree.size(), model.size());
-  auto all = tree.ScanRange("", nullptr);
+  auto all = Entries(tree);
   ASSERT_EQ(all.size(), model.size());
   auto mit = model.begin();
   for (const auto& [k, v] : all) {
@@ -193,7 +248,7 @@ TEST(BTree, DeleteEverything) {
   }
   EXPECT_EQ(tree.size(), 0u);
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  EXPECT_TRUE(tree.ScanRange("", nullptr).empty());
+  EXPECT_TRUE(Entries(tree).empty());
   // Tree is reusable after total deletion.
   tree.Put(Key(1), "again");
   EXPECT_TRUE(tree.Contains(Key(1)));

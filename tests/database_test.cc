@@ -646,6 +646,37 @@ TEST_F(DatabaseTest, FailedStatementIsAtomic) {
   EXPECT_TRUE(db_->VerifyViewConsistency("by_amount").ok());
 }
 
+TEST_F(DatabaseTest, PopulationRejectsADuplicateProjectionKeyAcrossChunks) {
+  // 600 rows span three scan chunks; the unique projection key (amount)
+  // repeats in rows 10 and 400, which fall in different chunks.
+  Commit([&](Transaction* txn) {
+    for (int i = 0; i < 600; i++) {
+      const double amount = i == 400 ? 10.0 : static_cast<double>(i);
+      ASSERT_TRUE(db_->Insert(txn, "sales", Sale(i, "eu", amount, 1)).ok());
+    }
+  });
+  ViewDefinition def;
+  def.name = "by_amount";
+  def.kind = ViewKind::kProjection;
+  def.fact_table = sales_;
+  def.projection = {2, 0};   // amount, id
+  def.projection_key = {0};  // amount must be unique
+  auto created = db_->CreateIndexedView(def);
+  EXPECT_TRUE(created.status().IsInvalidArgument())
+      << created.status().ToString();
+  EXPECT_TRUE(db_->GetView("by_amount").status().IsNotFound());
+
+  // Without the duplicate the same view populates.
+  Commit([&](Transaction* txn) {
+    ASSERT_TRUE(db_->Delete(txn, "sales", {Value::Int64(400)}).ok());
+  });
+  ASSERT_TRUE(db_->CreateIndexedView(def).ok());
+  Transaction* reader = db_->Begin();
+  EXPECT_EQ(db_->ScanView(reader, "by_amount")->size(), 599u);
+  EXPECT_TRUE(db_->Commit(reader).ok());
+  EXPECT_TRUE(db_->VerifyViewConsistency("by_amount").ok());
+}
+
 TEST_F(DatabaseTest, DirtyReadSeesUncommitted) {
   Transaction* writer = db_->Begin();
   ASSERT_TRUE(db_->Insert(writer, "sales", Sale(1, "eu", 10.0, 1)).ok());

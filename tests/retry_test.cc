@@ -343,11 +343,16 @@ TEST(AdmissionControl, WaiterIsAdmittedWhenSlotFrees) {
 
 // --- Stuck-transaction watchdog ---
 
+// The age limit the watchdog tests pass to AbortStuckTransactions. They
+// leave DatabaseOptions::max_txn_lifetime_micros at 0, so no housekeeper
+// sweep (paced on real time, aging by the ManualClock) can reap a
+// transaction before the test's own call does.
+constexpr uint64_t kLifetime = 1000;
+
 TEST(Watchdog, AbortsIdleOldTransactionsOnly) {
   ManualClock clock(0);
   DatabaseOptions options;
   options.clock = &clock;
-  options.max_txn_lifetime_micros = 1000;
   auto db = std::move(Database::Open(options)).value();
   ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
 
@@ -356,7 +361,7 @@ TEST(Watchdog, AbortsIdleOldTransactionsOnly) {
   clock.Advance(2000);
   Transaction* young = db->Begin();  // born after the advance: not stuck
 
-  EXPECT_EQ(db->AbortStuckTransactions(), 1u);
+  EXPECT_EQ(db->AbortStuckTransactions(kLifetime), 1u);
   EXPECT_EQ(stuck->state(), TxnState::kAborted);
   EXPECT_EQ(young->state(), TxnState::kActive);
 
@@ -383,7 +388,6 @@ TEST(Watchdog, SkipsTransactionWhoseOwnerIsMidOperation) {
   ManualClock clock(0);
   DatabaseOptions options;
   options.clock = &clock;
-  options.max_txn_lifetime_micros = 1000;
   auto db = std::move(Database::Open(options)).value();
   ASSERT_TRUE(db->CreateTable("sales", SalesSchema(), {0}).ok());
 
@@ -393,11 +397,11 @@ TEST(Watchdog, SkipsTransactionWhoseOwnerIsMidOperation) {
     // Simulate the owner thread being inside an engine call: the watchdog
     // must not abort a transaction it cannot latch.
     MutexLock busy(&txn->owner_mu());
-    EXPECT_EQ(db->AbortStuckTransactions(), 0u);
+    EXPECT_EQ(db->AbortStuckTransactions(kLifetime), 0u);
     EXPECT_EQ(txn->state(), TxnState::kActive);
   }
   // Once the owner goes idle, the next sweep reaps it.
-  EXPECT_EQ(db->AbortStuckTransactions(), 1u);
+  EXPECT_EQ(db->AbortStuckTransactions(kLifetime), 1u);
   EXPECT_EQ(txn->state(), TxnState::kAborted);
   db->Forget(txn);
 }

@@ -193,10 +193,10 @@ std::vector<std::pair<std::string, std::string>> ScanAt(
   std::vector<std::pair<std::string, std::string>> out;
   Status s = vs.SnapshotScan(
       kObj, &tree, begin, end, ts,
-      [&out](const std::string& key, const std::string& value,
+      [&out](const Slice& key, const Slice& value,
              const std::vector<std::vector<ColumnDelta>>& subtract) {
-        EXPECT_TRUE(subtract.empty()) << key;
-        out.emplace_back(key, value);
+        EXPECT_TRUE(subtract.empty()) << key.ToString();
+        out.emplace_back(key.ToString(), value.ToString());
         return Status::OK();
       });
   EXPECT_TRUE(s.ok()) << s.ToString();
@@ -264,12 +264,43 @@ TEST(VersionStore, SnapshotScanMergesChainsWithTheLeafCopy) {
   int visited = 0;
   Status s = vs.SnapshotScan(
       kObj, &tree, "", nullptr, 50,
-      [&visited](const std::string&, const std::string&,
+      [&visited](const Slice&, const Slice&,
                  const std::vector<std::vector<ColumnDelta>>&) {
         return ++visited == 3 ? Status::Aborted("stop") : Status::OK();
       });
   EXPECT_TRUE(s.IsAborted()) << s.ToString();
   EXPECT_EQ(visited, 3);
+
+  // One full chunk of mixed entries, compared byte for byte: empty, 41-byte
+  // and 4 KiB values and a key with an embedded NUL byte. A key deleted
+  // after the snapshot, so absent from the copy, sorts exactly at the chunk
+  // boundary (the chunk's last key plus a NUL byte): the next chunk owns it.
+  BTree mixed;
+  VersionStore mixed_vs;
+  std::vector<std::pair<std::string, std::string>> expected;
+  for (int i = 0; i < static_cast<int>(VersionStore::kSnapshotScanChunk);
+       i++) {
+    std::string key = PaddedKey(i);
+    if (i == 7) key.append(std::string("\0nul", 4));
+    std::string value;
+    switch (i % 4) {
+      case 0: break;  // empty
+      case 1: value = std::string(41, static_cast<char>('a' + i % 26)); break;
+      case 2: value = std::string(4096, static_cast<char>(i)); break;
+      case 3: value = std::string("v\0", 2) + std::to_string(i); break;
+    }
+    mixed.Put(key, value);
+    expected.emplace_back(key, value);
+  }
+  const std::string at_boundary = expected.back().first + '\0';
+  const std::string deleted_value(41, '\0');
+  mixed_vs.NotePendingWrite(kObj, at_boundary, deleted_value, 1);
+  mixed_vs.Commit(1, 60);
+  expected.emplace_back(at_boundary, deleted_value);
+
+  EXPECT_EQ(ScanAt(mixed_vs, mixed, 50), expected);
+  expected.pop_back();
+  EXPECT_EQ(ScanAt(mixed_vs, mixed, 100), expected);
 }
 
 TEST(VersionStore, DuplicatePendingWriteIgnored) {
