@@ -1857,11 +1857,14 @@ void Database::HousekeeperLoop() {
     if (now >= ghost_due) {
       const Steady::time_point pass_begin = Steady::now();
       bool clean = true;
+      uint64_t pass_reclaimed = 0;
       for (GhostCleaner* cleaner : GhostCleaners()) {
+        uint64_t reclaimed = 0;
         uint64_t errors = 0;
-        if (!cleaner->RunOnce(nullptr, &errors).ok() || errors > 0) {
+        if (!cleaner->RunOnce(&reclaimed, &errors).ok() || errors > 0) {
           clean = false;
         }
+        pass_reclaimed += reclaimed;
       }
       // A pass that fails or absorbs errors backs off (doubling, capped at
       // 16x) so a degraded or faulting engine is probed gently; a clean
@@ -1871,10 +1874,18 @@ void Database::HousekeeperLoop() {
       // Duty-cycle cap: rest at least as long as the pass ran. A pass holds
       // batch X locks on the rows it reclaims; back-to-back passes would
       // keep re-taking them and starve foreground transactions trying to
-      // stabilize a freshly created aggregate row.
+      // stabilize a freshly created aggregate row. A clean pass that
+      // reclaimed a full batch or more is working off a backlog of many
+      // distinct ghosts, so it rests only the interval: at half duty, a
+      // cleaner whose in-pass rate is under twice the rate ghosts appear
+      // would fall behind for good.
       const Steady::time_point pass_end = Steady::now();
-      ghost_due = pass_end + std::max<Steady::duration>(
-                                 ghost_interval, pass_end - pass_begin);
+      const bool backlog =
+          clean && pass_reclaimed >= GhostCleaner::kReclaimBatch;
+      ghost_due = pass_end + (backlog ? Steady::duration(ghost_interval)
+                                      : std::max<Steady::duration>(
+                                            ghost_interval,
+                                            pass_end - pass_begin));
     }
     if (now >= ckpt_due) {
       RunCheckpointDuty();

@@ -49,11 +49,15 @@ enum class ScanLockingMode : uint8_t {
 
 struct DatabaseOptions {
   // Directory for the WAL and checkpoint files. Empty => purely in-memory
-  // (no durability; recovery tests and lock-only benchmarks).
+  // (no durability; recovery tests and lock-only benchmarks). With
+  // flush_delay_micros also 0 the log has no device: no WAL writer runs,
+  // and a commit is acknowledged as soon as its COMMIT record is appended.
   std::string dir;
 
   SyncMode sync = SyncMode::kNone;
   // Simulated stable-storage latency per log flush (see LogManagerOptions).
+  // Non-zero gives an in-memory database a simulated device, so its commits
+  // go through the WAL writer and group commit as durable ones do.
   uint64_t flush_delay_micros = 0;
   // Group-commit batching window (see LogManagerOptions): the floor of the
   // WAL writer's adaptive window, which stretches to at most 2x under
@@ -93,8 +97,10 @@ struct DatabaseOptions {
 
   // Background ghost cleanup: every interval the housekeeper runs one
   // cleanup pass over every aggregate view. A pass that fails or absorbs
-  // row errors doubles the interval (up to 16x) until a clean pass, and the
-  // housekeeper always rests at least as long as the last pass ran.
+  // row errors doubles the interval (up to 16x) until a clean pass. The
+  // housekeeper rests at least as long as the last pass ran, unless that
+  // pass was clean and reclaimed a full batch (GhostCleaner::kReclaimBatch
+  // rows) or more: a backlog is worked off one interval apart.
   bool start_ghost_cleaner = false;
   uint64_t ghost_cleaner_interval_micros = 50000;
 

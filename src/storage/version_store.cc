@@ -301,16 +301,10 @@ void VersionStore::Commit(TxnId txn, uint64_t commit_ts) {
           d.owner = 0;
         }
       }
-      // Keep committed value versions sorted by superseded_ts (pendings,
-      // with ts 0, conceptually sort last).
-      std::stable_sort(chain.values.begin(), chain.values.end(),
-                       [](const ValueVersion& a, const ValueVersion& b) {
-                         uint64_t ta = a.superseded_ts == 0 ? UINT64_MAX
-                                                            : a.superseded_ts;
-                         uint64_t tb = b.superseded_ts == 0 ? UINT64_MAX
-                                                            : b.superseded_ts;
-                         return ta < tb;
-                       });
+      // The chain stays sorted by superseded_ts without a sort: flips stamp
+      // strictly increasing timestamps (under the txn manager's visibility
+      // mutex), and the X lock behind a value write leaves at most one
+      // pending value version per key, at the end of the chain.
 #if IVDB_CHECKS_ENABLED
       CheckChainInvariants(chain);
 #endif

@@ -46,7 +46,7 @@ Status DecodeSegment(const std::string& contents, bool strict,
   out->clear();
   *valid_bytes = 0;
   Slice input(contents);
-  while (input.size() >= 8) {
+  while (input.size() >= LogManager::kFrameHeaderBytes) {
     Slice frame = input;
     uint32_t len = 0, crc = 0;
     GetFixed32(&frame, &len);
@@ -66,8 +66,8 @@ Status DecodeSegment(const std::string& contents, bool strict,
       return Status::OK();
     }
     out->push_back(std::move(rec));
-    input.RemovePrefix(8 + len);
-    *valid_bytes += 8 + len;
+    input.RemovePrefix(LogManager::kFrameHeaderBytes + len);
+    *valid_bytes += LogManager::kFrameHeaderBytes + len;
   }
   if (strict && input.size() != 0) {
     return Status::Corruption("trailing bytes after last record");
@@ -98,6 +98,7 @@ LogManagerMetrics::LogManagerMetrics(obs::MetricsRegistry* registry)
 
 LogManager::LogManager(LogManagerOptions options)
     : options_(std::move(options)),
+      has_device_(!options_.dir.empty() || options_.flush_delay_micros > 0),
       env_(options_.env != nullptr ? options_.env : Env::Default()),
       owned_registry_(options_.metrics == nullptr
                           ? std::make_unique<obs::MetricsRegistry>()
@@ -108,6 +109,7 @@ LogManager::LogManager(LogManagerOptions options)
       flight_(options_.flight),
       policy_(options_.group_commit_window_micros,
               2 * options_.group_commit_window_micros) {
+  if (!has_device_) return;
   uint32_t n = options_.staging_shards;
   if (n == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -117,18 +119,21 @@ LogManager::LogManager(LogManagerOptions options)
   for (uint32_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<StagingShard>());
   }
-  // Started here rather than in Open() so fixtures that never Open (the
-  // in-memory log) still get a writer; it parks until work arrives.
+  // Started here rather than in Open() so a simulated device without a
+  // directory, which never needs Open, still gets a writer; it parks until
+  // work arrives.
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
 LogManager::~LogManager() {
-  {
-    MutexLock guard(&flush_mu_);
-    writer_stop_ = true;
-    writer_cv_.NotifyAll();
+  if (writer_.joinable()) {
+    {
+      MutexLock guard(&flush_mu_);
+      writer_stop_ = true;
+      writer_cv_.NotifyAll();
+    }
+    writer_.join();
   }
-  writer_.join();
   // Destructor: nowhere to surface a close error, and everything acked was
   // already fsynced — an error here cannot lose acknowledged data. (Staged
   // frames never flushed are dropped: no committer was told they landed.)
@@ -295,24 +300,34 @@ Status LogManager::Append(LogRecord* rec) {
   if (!options_.dir.empty() && !opened_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("WAL is not open");
   }
-  StagingShard& shard = *shards_[ShardIndex()];
-  // The LSN is drawn while holding the shard mutex, so a shard's staged
-  // vector is internally LSN-sorted and the writer's cross-shard merge only
-  // ever has *transient* head-of-line gaps (a committer caught between its
-  // fetch_add and its emplace lives in some shard the writer has yet to
-  // drain — and it cannot be THIS shard, which we hold).
-  MutexLock guard(&shard.wal_shard_mu_);
-  rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
-                 "WAL LSN must advance past the flushed prefix");
-  std::string body;
-  rec->EncodeTo(&body);
-  std::string frame;
-  PutFixed32(&frame, static_cast<uint32_t>(body.size()));
-  PutFixed32(&frame, Crc32(body.data(), body.size()));
-  frame.append(body);
-  const uint64_t frame_bytes = frame.size();
-  shard.staged.emplace_back(rec->lsn, std::move(frame));
+  uint64_t frame_bytes = 0;
+  if (!has_device_) {
+    // Nothing to stage: the record is at the watermark once it has its
+    // LSN. Only its framed size is needed, for the byte counters.
+    rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    std::string body;
+    rec->EncodeTo(&body);
+    frame_bytes = kFrameHeaderBytes + body.size();
+  } else {
+    StagingShard& shard = *shards_[ShardIndex()];
+    // The LSN is drawn while holding the shard mutex, so a shard's staged
+    // vector is internally LSN-sorted and the writer's cross-shard merge
+    // only ever has *transient* head-of-line gaps (a committer caught
+    // between its fetch_add and its emplace lives in some shard the writer
+    // has yet to drain — and it cannot be THIS shard, which we hold).
+    MutexLock guard(&shard.wal_shard_mu_);
+    rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
+                   "WAL LSN must advance past the flushed prefix");
+    std::string body;
+    rec->EncodeTo(&body);
+    std::string frame;
+    PutFixed32(&frame, static_cast<uint32_t>(body.size()));
+    PutFixed32(&frame, Crc32(body.data(), body.size()));
+    frame.append(body);
+    frame_bytes = frame.size();
+    shard.staged.emplace_back(rec->lsn, std::move(frame));
+  }
   metrics_.records_appended->Add();
   metrics_.bytes_appended->Add(frame_bytes);
   appended_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
@@ -320,6 +335,9 @@ Status LogManager::Append(LogRecord* rec) {
 }
 
 Status LogManager::Flush(Lsn upto) {
+  // With no device every appended record is already at the watermark, and
+  // the log is never poisoned (only the writer and a checkpoint poison it).
+  if (!has_device_) return Status::OK();
   if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
     return Status::OK();  // already durable: not a flush wait
   }

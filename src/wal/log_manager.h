@@ -32,7 +32,8 @@ enum class SyncMode : uint8_t {
 
 struct LogManagerOptions {
   // Directory holding the WAL segments (`wal-<seqno>.log`). Empty =>
-  // in-memory log (unit tests, lock-only benchmarks).
+  // in-memory log (unit tests, lock-only benchmarks); with
+  // flush_delay_micros also 0 it has no device at all (see LogManager).
   std::string dir;
   // Rotation threshold: once the open segment reaches this many bytes the
   // WAL writer seals it (fsync) and switches appends to a fresh segment. 0
@@ -43,7 +44,9 @@ struct LogManagerOptions {
   // Artificial per-flush latency in microseconds, modelling commit-time
   // stable-storage latency. Group commit amortizes this across all
   // transactions whose records are in the flushed batch — this is the knob
-  // that makes lock-hold-time effects measurable on any hardware.
+  // that makes lock-hold-time effects measurable on any hardware. Non-zero
+  // gives an in-memory log (empty `dir`) a simulated device, and with it
+  // the WAL writer.
   uint64_t flush_delay_micros = 0;
   // Floor of the writer's adaptive batching window (PostgreSQL's
   // commit_delay analog; see wal/batch_policy.h). The writer sleeps the
@@ -78,7 +81,7 @@ struct LogManagerOptions {
   // nullptr disables the instrumentation.
   obs::FlightRecorder* flight = nullptr;
   // Number of commit-staging shards; 0 = auto (min(8, hardware threads)).
-  // Committers hash onto shards by thread.
+  // Committers hash onto shards by thread. A log with no device has none.
   uint32_t staging_shards = 0;
 };
 
@@ -129,6 +132,14 @@ struct LogManagerMetrics {
 // batch naturally — everything staged while a pass is in flight rides the
 // next one.
 //
+// A log with no device (empty `dir` and no simulated flush delay) has
+// nothing to wait for, so it runs none of that: no writer thread, no
+// staging shards. Append() draws the LSN and counts the record and its
+// framed bytes, and the record is at the watermark as soon as it has its
+// LSN — flushed_lsn() is last_lsn() and Flush() returns at once. A commit
+// then waits for the log exactly as a system transaction always does:
+// not at all.
+//
 // Segmented layout: records live in `wal-<seqno>.log` files; only the
 // highest-seqno segment is open for appends. A flush batch is always written
 // wholly to the open segment, and LSNs are assigned contiguously, so every
@@ -148,6 +159,10 @@ class LogManager {
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
+
+  // Every record is framed as [len: fixed32][crc32: fixed32][body]; this is
+  // the frame's size beyond the encoded body.
+  static constexpr uint64_t kFrameHeaderBytes = 8;
 
   // Per-segment decode accounting, one entry per segment in seqno order:
   // how many records and bytes each segment contributed, how long its
@@ -181,16 +196,19 @@ class LogManager {
   Status Open(std::vector<LogRecord>* records = nullptr, unsigned threads = 1,
               std::vector<SegmentReadStats>* segment_stats = nullptr);
 
-  // Assigns rec->lsn and stages the record for the writer. Thread-safe.
-  // A durable log (non-empty `dir`) refuses appends with InvalidArgument
-  // until Open() has succeeded: with no segment file the writer would ack
-  // records it never wrote.
+  // Assigns rec->lsn and stages the record for the writer (with no
+  // device: only counts it). Thread-safe. A durable log (non-empty `dir`)
+  // refuses appends with InvalidArgument until Open() has succeeded: with
+  // no segment file the writer would ack records it never wrote.
   Status Append(LogRecord* rec);
 
-  // Blocks until all records with lsn <= upto are durable.
+  // Blocks until all records with lsn <= upto are durable. With no device
+  // every appended record already is, so it returns at once.
   Status Flush(Lsn upto);
 
-  Lsn flushed_lsn() const { return flushed_lsn_.load(); }
+  Lsn flushed_lsn() const {
+    return has_device_ ? flushed_lsn_.load() : last_lsn();
+  }
   Lsn last_lsn() const { return next_lsn_.load() - 1; }
 
   // Measured duration of the most recent non-empty batch write (segment
@@ -360,6 +378,9 @@ class LogManager {
   void FirePendingPoisonCallback();
 
   LogManagerOptions options_;
+  // A directory or a simulated delay to wait for; without one there is no
+  // writer and no staging (see the class comment).
+  const bool has_device_;
   Env* env_ = nullptr;  // options_.env resolved against Env::Default()
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   LogManagerMetrics metrics_;
@@ -427,6 +448,7 @@ class LogManager {
     std::vector<std::pair<Lsn, std::string>> staged
         IVDB_GUARDED_BY(wal_shard_mu_);
   };
+  // Empty when there is no device; writer_ then never starts either.
   std::vector<std::unique_ptr<StagingShard>> shards_;
 
   // Committers currently inside Flush() — the writer reads this as the

@@ -295,6 +295,42 @@ TEST_F(CommitPipelineWalTest, SkewedCommittersShareOneBatch) {
   }
 }
 
+// A simulated device needs no directory: the log keeps its writer and
+// group commit, so four committers share device writes. Only a log with
+// neither a directory nor a delay acknowledges commits at append.
+TEST_F(CommitPipelineWalTest, SimulatedDeviceWithoutADirectoryStillBatches) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  LogManagerOptions options;
+  options.flush_delay_micros = 1000;
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; i++) {
+        LogRecord rec = InsertRecord(
+            static_cast<TxnId>(t + 1),
+            "t" + std::to_string(t) + "-" + std::to_string(i));
+        if (!log.Append(&rec).ok() || !log.Flush(rec.lsn).ok() ||
+            log.flushed_lsn() < rec.lsn) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const int64_t commits = kThreads * kPerThread;
+  const int64_t flushes = log.metrics().flushes->Value();
+  EXPECT_GT(flushes, 0) << "no writer ran";
+  EXPECT_LT(flushes, commits) << "no two commits shared a device write";
+}
+
 // The convoy wait's cap is measured and waited on the steady clock, so a
 // ManualClock harness whose committers outpace each other never sits out
 // virtual device time for real: here each capped wait would otherwise

@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "common/random.h"
@@ -30,6 +33,32 @@ inline std::string UniqueTestPath(const std::string& prefix,
                                   const void* owner) {
   return ::testing::TempDir() + prefix + "_" + std::to_string(::getpid()) +
          "_" + std::to_string(reinterpret_cast<uintptr_t>(owner));
+}
+
+// Threads in this process: one /proc/self/task entry each (Linux). -1
+// where /proc is unavailable.
+inline int ProcessThreads() {
+  std::error_code ec;
+  int n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    n++;
+  }
+  return ec ? -1 : n;
+}
+
+// ProcessThreads() once two reads 10 ms apart agree (giving up after about
+// a second): a thread that was just joined can stay listed for a moment
+// while it finishes exiting.
+inline int SettledProcessThreads() {
+  int n = ProcessThreads();
+  for (int i = 0; i < 100; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int again = ProcessThreads();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
 }
 
 // Unique directory under the gtest temp root, removed on destruction.

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/file_util.h"
+#include "test_util.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
 
@@ -547,13 +548,25 @@ TEST_F(WalTest, DurableLogRefusesAppendsBeforeOpen) {
   EXPECT_EQ(records[0].key, "k");
 }
 
-TEST_F(WalTest, InMemoryLogNeedsNoFile) {
+// With no directory and no simulated delay there is no device: the log
+// needs no file and starts no writer thread, a record is at the watermark
+// as soon as Append gives it an LSN, and Flush writes nothing. The append
+// counters still count the record and its framed bytes.
+TEST_F(WalTest, NoDeviceLogNeedsNoFileAndNoWriter) {
+  const int threads_before = SettledProcessThreads();
   LogManager log({""});
+  if (threads_before >= 0) EXPECT_EQ(ProcessThreads(), threads_before);
   ASSERT_TRUE(log.Open().ok());
   LogRecord rec = DataRecord(1, LogRecordType::kInsert, "k");
   ASSERT_TRUE(log.Append(&rec).ok());
-  ASSERT_TRUE(log.Flush(rec.lsn).ok());
   EXPECT_EQ(log.flushed_lsn(), rec.lsn);
+  ASSERT_TRUE(log.Flush(rec.lsn).ok());
+  EXPECT_EQ(log.metrics().flushes->Value(), 0);
+  EXPECT_EQ(log.metrics().records_appended->Value(), 1);
+  std::string body;
+  rec.EncodeTo(&body);
+  EXPECT_EQ(log.appended_bytes(),
+            LogManager::kFrameHeaderBytes + body.size());
   ASSERT_TRUE(log.RotateNow().ok());  // no-op without a directory
   EXPECT_EQ(log.SegmentCount(), 0u);
 }
