@@ -8,7 +8,8 @@
 //   * fsyncs-per-commit falling well below 1 as committers are added
 //     (the acceptance bar is < 0.25 at 8+ threads),
 //   * per-batch record counts (ivdb_wal_batch_records p50/p99) growing
-//     with load as the adaptive window stretches,
+//     with load, as every committer a batch releases rides the next one
+//     (the writer's convoy wait),
 //   * throughput scaling with threads while per-commit p99 stays near the
 //     simulated device latency.
 //

@@ -68,37 +68,10 @@ inline size_t ThisThreadHash() {
   return hash;
 }
 
-// Monotonic logical timestamp source. Transaction begin/commit timestamps
-// are drawn from one shared LogicalClock so that snapshot visibility
-// (`commit_ts <= snapshot_ts`) is a total order.
-class LogicalClock {
- public:
-  LogicalClock() : next_(1) {}
-
-  LogicalClock(const LogicalClock&) = delete;
-  LogicalClock& operator=(const LogicalClock&) = delete;
-
-  uint64_t Tick() { return next_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t Peek() const { return next_.load(std::memory_order_relaxed); }
-
-  // Moves the clock forward so that the next Tick() is > `ts`. Used after
-  // recovery to resume past the highest timestamp in the log.
-  void AdvancePast(uint64_t ts) {
-    uint64_t cur = next_.load(std::memory_order_relaxed);
-    while (cur <= ts &&
-           !next_.compare_exchange_weak(cur, ts + 1,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<uint64_t> next_;
-};
-
 // Sharded logical timestamp source for the parallel commit pipeline.
 //
-// A single LogicalClock makes every Begin and every commit contend on one
-// cache line. EpochClock splits the timestamp space instead:
+// A single shared counter would make every Begin and every commit contend
+// on one cache line. EpochClock splits the timestamp space instead:
 //
 //   ts = (epoch << kEpochShift) | ((slot + 1) << kSlotShift) | seq
 //

@@ -394,11 +394,10 @@ Result<const ViewInfo*> Database::CreateIndexedView(ViewDefinition def) {
   if (GetView(def.name).ok()) {
     return Status::AlreadyExists("view '" + def.name + "' exists");
   }
-  ObjectId id = catalog_.AllocateId();
-
   // Populate under a quiescent section so no base-table change can slip
   // between the initial computation and the first maintained transaction.
-  txns_->BeginQuiesce();
+  IVDB_RETURN_NOT_OK(QuiesceForDdl());
+  const ObjectId id = catalog_.AllocateId();
   Status s = RegisterView(id, std::move(def), /*populate=*/true);
   txns_->EndQuiesce();
   IVDB_RETURN_NOT_OK(s);
@@ -594,6 +593,17 @@ Status Database::CheckWritable() const {
   return Status::OK();
 }
 
+Status Database::QuiesceForDdl() {
+  const auto timeout = std::chrono::duration_cast<std::chrono::microseconds>(
+      options_.lock_wait_timeout);
+  if (txns_->TryQuiesce(static_cast<uint64_t>(timeout.count()))) {
+    return Status::OK();
+  }
+  return Status::Busy(
+      "DDL could not quiesce: a transaction stayed active past "
+      "lock_wait_timeout");
+}
+
 Result<const SecondaryIndexInfo*> Database::CreateSecondaryIndex(
     const std::string& index_name, const std::string& table,
     const std::vector<std::string>& columns) {
@@ -616,18 +626,23 @@ Result<const SecondaryIndexInfo*> Database::CreateSecondaryIndex(
     }
     column_indexes.push_back(idx);
   }
-  IVDB_ASSIGN_OR_RETURN(
-      const SecondaryIndexInfo* index,
-      catalog_.CreateSecondaryIndex(index_name, info->id,
-                                    std::move(column_indexes)));
+  // Backfill under a quiescent section, mirroring view population. It is
+  // taken before the catalog entry and the tree exist, so a timeout leaves
+  // nothing behind.
+  IVDB_RETURN_NOT_OK(QuiesceForDdl());
+  Result<const SecondaryIndexInfo*> created = catalog_.CreateSecondaryIndex(
+      index_name, info->id, std::move(column_indexes));
+  if (!created.ok()) {
+    txns_->EndQuiesce();
+    return created.status();
+  }
+  const SecondaryIndexInfo* index = created.value();
   BTree* tree = CreateIndex(index->id);
 
-  // Backfill under a quiescent section, mirroring view population. The
-  // base rows stream through ScanChunks, whose visitor runs after the base
-  // tree's latch is released: putting into the index tree under it would
-  // nest two same-rank latches (the one shape the lock-rank order cannot
-  // admit).
-  txns_->BeginQuiesce();
+  // The base rows stream through ScanChunks, whose visitor runs after the
+  // base tree's latch is released: putting into the index tree under it
+  // would nest two same-rank latches (the one shape the lock-rank order
+  // cannot admit).
   BTree* base = GetIndex(info->id);
   Row row;
   Status status = base->ScanChunks("", nullptr, [&](const ScanBuffer& chunk) {

@@ -59,12 +59,11 @@ struct DatabaseOptions {
   // Non-zero gives an in-memory database a simulated device, so its commits
   // go through the WAL writer and group commit as durable ones do.
   uint64_t flush_delay_micros = 0;
-  // Group-commit batching window (see LogManagerOptions): the floor of the
-  // WAL writer's adaptive window, which stretches to at most 2x under
-  // sustained commit load. With a simulated device (flush_delay_micros
-  // > 0) the writer then also waits for the committers its last batch
-  // released, for at most half that batch's device time, so they share
-  // the next fsync.
+  // Group-commit batching window (see LogManagerOptions): how long the WAL
+  // writer sleeps after each wakeup before it seals a batch. With a
+  // simulated device (flush_delay_micros > 0) the writer then also waits
+  // for the committers its last batch released, for at most half that
+  // batch's device time, so they share the next fsync.
   uint64_t group_commit_window_micros = 0;
 
   // WAL segment rotation threshold (see LogManagerOptions::segment_bytes);
@@ -128,20 +127,6 @@ struct DatabaseOptions {
   size_t max_active_txns = 0;
   uint64_t admission_timeout_micros = 1000 * 1000;
 
-  // --- Online view build (CreateIndexedViewOnline) ---
-
-  // Bounded wait for the flip barrier's quiesce attempt. On timeout the
-  // builder reopens the Begin gate, replays whatever tail accumulated, and
-  // retries after a jittered backoff — writers never stall longer than
-  // this per attempt.
-  uint64_t online_build_barrier_timeout_micros = 50 * 1000;
-  // Barrier attempts before the build gives up with kBusy (the catalog
-  // record is then abandoned and GC'd exactly like a crash).
-  int online_build_barrier_max_retries = 16;
-  // Base backoff between barrier attempts (exponential, capped at 16x,
-  // ±50% jitter; sleeps go through DatabaseOptions::clock).
-  uint64_t online_build_backoff_micros = 2000;
-
   // Stuck-transaction watchdog: user transactions idle for longer than this
   // (wall-clock age since Begin, owner thread not inside an engine call)
   // are force-aborted by the housekeeper's sweep, every quarter lifetime
@@ -188,8 +173,9 @@ struct ViewInfo {
 //     abort) leaves the transaction doomed; the caller must Abort() and may
 //     retry from the top. RunTransaction() automates exactly that loop with
 //     capped exponential backoff.
-//   - IsTransient() && !RequiresRollback() (kBusy: escrow bound exceeded or
-//     admission-control overflow) is statement atomic and worth retrying.
+//   - IsTransient() && !RequiresRollback() (kBusy: escrow bound exceeded,
+//     admission-control overflow, or a DDL that could not quiesce) is
+//     statement atomic and worth retrying.
 //   - kUnavailable means a WAL I/O failure degraded the engine to
 //     read-only. Write statements keep failing until the process restarts
 //     and recovers; snapshot reads keep serving. Not worth retrying
@@ -215,7 +201,9 @@ class Database : public LogApplier, public IndexResolver {
 
   // Creates an indexed view and populates it from current base data (under
   // a quiescent section). The view is maintained by every subsequent
-  // transaction that changes its fact table.
+  // transaction that changes its fact table. The quiesce waits at most
+  // lock_wait_timeout for active transactions to finish; past that it
+  // returns kBusy and creates nothing.
   Result<const ViewInfo*> CreateIndexedView(ViewDefinition definition);
 
   // Creates an indexed view *online*: writers keep committing while the
@@ -247,7 +235,8 @@ class Database : public LogApplier, public IndexResolver {
   const Catalog& catalog() const { return catalog_; }
 
   // Creates a secondary (non-clustered) index over `columns` of a base
-  // table, backfilled from current contents. Maintained by every subsequent
+  // table, backfilled from current contents (under a quiescent section,
+  // with CreateIndexedView's kBusy bound). Maintained by every subsequent
   // DML statement; fully logged, so it recovers with the table.
   Result<const SecondaryIndexInfo*> CreateSecondaryIndex(
       const std::string& index_name, const std::string& table,
@@ -472,6 +461,10 @@ class Database : public LogApplier, public IndexResolver {
   // kUnavailable once the engine is degraded; gates every path that would
   // append to the WAL (DML, DDL, checkpoints). Reads are never gated.
   Status CheckWritable() const;
+  // Closes the Begin gate and waits up to lock_wait_timeout for every
+  // active transaction to finish; kBusy (gate reopened) if one does not.
+  // On OK the caller runs its DDL step and then calls EndQuiesce().
+  Status QuiesceForDdl();
 
   BTree* CreateIndex(ObjectId id);
   // Runs `body` under a savepoint: on a non-doomed failure, everything the

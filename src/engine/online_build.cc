@@ -52,6 +52,20 @@ namespace {
 // whatever tail remains.
 constexpr uint64_t kMaxCatchUpRounds = 64;
 
+// Flip barrier: each quiesce attempt waits at most this long for active
+// transactions. On timeout the builder reopens the Begin gate, replays
+// whatever tail accumulated, and retries after a jittered backoff, so
+// writers never stall longer than this per attempt.
+constexpr uint64_t kBarrierTimeoutMicros = 50 * 1000;
+
+// Barrier attempts before the build gives up with kBusy (the catalog record
+// is then abandoned and GC'd exactly like a crash).
+constexpr int kBarrierMaxAttempts = 16;
+
+// Base backoff between barrier attempts (exponential, capped at 16x, ±50%
+// jitter; sleeps go through DatabaseOptions::clock).
+constexpr uint64_t kBarrierBackoffMicros = 2000;
+
 // Catch-up convergence threshold: once the un-replayed WAL tail behind the
 // build cursor is below this many bytes, the builder stops iterating
 // catch-up rounds and tries the flip barrier.
@@ -230,13 +244,10 @@ Status Database::OnlineBuildCatchUpRound(OnlineBuildCtx* ctx) {
 Status Database::OnlineBuildFlip(OnlineBuildCtx* ctx) {
   Random rng(UniqueJitterSeed());
   RunTransactionOptions backoff_options;
-  backoff_options.backoff_base_micros = options_.online_build_backoff_micros;
-  backoff_options.backoff_cap_micros =
-      options_.online_build_backoff_micros * 16;
-  const int max_retries =
-      std::max(1, options_.online_build_barrier_max_retries);
+  backoff_options.backoff_base_micros = kBarrierBackoffMicros;
+  backoff_options.backoff_cap_micros = kBarrierBackoffMicros * 16;
 
-  for (int attempt = 1; attempt <= max_retries; attempt++) {
+  for (int attempt = 1; attempt <= kBarrierMaxAttempts; attempt++) {
     if (log_->poisoned()) {
       return Status::Unavailable("engine degraded during online view build");
     }
@@ -249,7 +260,7 @@ Status Database::OnlineBuildFlip(OnlineBuildCtx* ctx) {
       // but its logged contents above the image's replay horizon (or the
       // reverse) — either way a stale view after restart.
       MutexLock serial(&checkpoint_mu_);
-      if (txns_->TryQuiesce(options_.online_build_barrier_timeout_micros)) {
+      if (txns_->TryQuiesce(kBarrierTimeoutMicros)) {
         const uint64_t quiesced_at = clock_->NowMicros();
         build_phase_barrier_->Record(quiesced_at - barrier_start);
         Status s = [&]() -> Status {
@@ -317,7 +328,7 @@ Status Database::OnlineBuildFlip(OnlineBuildCtx* ctx) {
   }
   return Status::Busy(
       "online view build: active transactions never drained within " +
-      std::to_string(options_.online_build_barrier_max_retries) +
+      std::to_string(kBarrierMaxAttempts) +
       " barrier attempts");
 }
 

@@ -234,22 +234,6 @@ Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
   return Status::OK();
 }
 
-std::vector<std::vector<ColumnDelta>> VersionStore::PendingDeltas(
-    uint32_t object_id, const Slice& key, TxnId exclude_txn) const {
-  ChainKey ck{object_id, key.ToString()};
-  Stripe& stripe = StripeFor(ck);
-  MutexLock guard(&stripe.version_stripe_mu_);
-  std::vector<std::vector<ColumnDelta>> out;
-  auto it = stripe.chains.find(ck);
-  if (it == stripe.chains.end()) return out;
-  for (const DeltaVersion& d : it->second.deltas) {
-    if (d.commit_ts == 0 && d.owner != exclude_txn) {
-      out.push_back(d.deltas);
-    }
-  }
-  return out;
-}
-
 Status VersionStore::ApplyWithPendingWrite(
     uint32_t object_id, const Slice& key,
     std::optional<std::string> old_value, TxnId txn,

@@ -114,12 +114,6 @@ class VersionStore {
                         const std::vector<ColumnBound>* bounds = nullptr,
                         const std::function<Status()>& pre_apply = {});
 
-  // The pending (uncommitted) delta sets currently attached to (object,
-  // key), excluding those owned by `exclude_txn`. Used for escrow-bound
-  // checks and optimistic "value bounds" reads.
-  std::vector<std::vector<ColumnDelta>> PendingDeltas(
-      uint32_t object_id, const Slice& key, TxnId exclude_txn = 0) const;
-
   // Records the pending write (pre-image `old_value`) for `txn` and runs
   // `apply` (the physical insert/update/delete) under the store's mutex.
   Status ApplyWithPendingWrite(uint32_t object_id, const Slice& key,

@@ -79,13 +79,13 @@ Transaction* TransactionManager::Begin(ReadMode read_mode, bool gated) {
     // unchecked Database::Begin() takes this path so it keeps its original
     // never-null contract — callers written before admission control exist
     // and do not null-check.
-    active_cv_.Wait(&active_guard, [this] { return !quiescing_; });
+    active_cv_.Wait(&active_guard, [this] { return quiescers_ == 0; });
   } else {
     // Admission gate: queue for a slot with a deadline, so overload turns
     // into bounded waiting plus kBusy instead of an unbounded pile-up in
     // the lock table.
     auto admissible = [this] {
-      return !quiescing_ && user_active_ < options_.max_active_txns;
+      return quiescers_ == 0 && user_active_ < options_.max_active_txns;
     };
     if (!active_cv_.WaitFor(
             &active_guard,
@@ -575,29 +575,21 @@ int TransactionManager::ActiveCount() const {
   return static_cast<int>(active_.size());
 }
 
-void TransactionManager::BeginQuiesce() {
-  UniqueMutexLock guard(&active_mu_);
-  quiescing_ = true;
-  active_cv_.Wait(&guard, [this] { return active_.empty(); });
-}
-
 void TransactionManager::EndQuiesce() {
   MutexLock guard(&active_mu_);
-  quiescing_ = false;
+  IVDB_INVARIANT(quiescers_ > 0, "EndQuiesce without a quiescent section");
+  quiescers_--;
   active_cv_.NotifyAll();
 }
 
 bool TransactionManager::TryQuiesce(uint64_t timeout_micros) {
   UniqueMutexLock guard(&active_mu_);
-  quiescing_ = true;
-  // 1ms wait slices against real wall time, bounded by slice *count* so the
-  // timeout also fires under a ManualClock (whose NowMicros never moves).
-  const uint64_t slices = std::max<uint64_t>(1, timeout_micros / 1000);
-  for (uint64_t i = 0; i < slices && !active_.empty(); i++) {
-    active_cv_.WaitFor(&guard, std::chrono::milliseconds(1));
+  quiescers_++;
+  if (active_cv_.WaitFor(&guard, std::chrono::microseconds(timeout_micros),
+                         [this] { return active_.empty(); })) {
+    return true;  // gate stays closed; caller EndQuiesce()s
   }
-  if (active_.empty()) return true;  // gate stays closed; caller EndQuiesce()s
-  quiescing_ = false;
+  quiescers_--;
   active_cv_.NotifyAll();
   return false;
 }

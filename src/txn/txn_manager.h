@@ -203,20 +203,16 @@ class TransactionManager {
 
   int ActiveCount() const;
 
-  // Quiescent-checkpoint support: blocks new transactions from starting and
-  // waits until no transaction is active. EndQuiesce() re-opens the gate.
-  void BeginQuiesce();
-  void EndQuiesce();
-
-  // Bounded-wait variant for the online view build's flip barrier: closes
-  // the Begin gate and waits up to `timeout_micros` for the active set to
-  // drain. Returns true with the gate still closed (caller must
+  // Quiescent sections for DDL and the online view build's flip barrier:
+  // closes the Begin gate and waits up to `timeout_micros` for the active
+  // set to drain. Returns true with the gate still closed (caller must
   // EndQuiesce() when done); on timeout re-opens the gate and returns
-  // false, so a convoy of long transactions can never wedge the build —
-  // the caller backs off, catches up further, and retries. The wait is
-  // sliced so a ManualClock (frozen wall time) still times out after a
-  // bounded number of slices.
+  // false, so a long or idle transaction can never wedge the engine — the
+  // caller reports kBusy or backs off and retries. The timeout is real
+  // time, whatever clock the engine was given. Sections may overlap: the
+  // gate stays closed until the last one ends.
   bool TryQuiesce(uint64_t timeout_micros);
+  void EndQuiesce();
 
   // --- Fuzzy-checkpoint capture. ---
   //
@@ -328,7 +324,9 @@ class TransactionManager {
 
   mutable RankedMutex active_mu_{LockRank::kTxnActive, "active_mu_"};
   CondVar active_cv_;
-  bool quiescing_ IVDB_GUARDED_BY(active_mu_) = false;
+  // Quiescent sections open or being waited for; the Begin gate is closed
+  // while any is, so one section's end cannot reopen it under another's.
+  int quiescers_ IVDB_GUARDED_BY(active_mu_) = 0;
   // Admission-gate population (excludes system).
   size_t user_active_ IVDB_GUARDED_BY(active_mu_) = 0;
   std::map<TxnId, std::unique_ptr<Transaction>> active_

@@ -106,9 +106,7 @@ LogManager::LogManager(LogManagerOptions options)
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_registry_.get()),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Default()),
-      flight_(options_.flight),
-      policy_(options_.group_commit_window_micros,
-              2 * options_.group_commit_window_micros) {
+      flight_(options_.flight) {
   if (!has_device_) return;
   uint32_t n = options_.staging_shards;
   if (n == 0) {
@@ -341,9 +339,6 @@ Status LogManager::Flush(Lsn upto) {
   if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
     return Status::OK();  // already durable: not a flush wait
   }
-  // Visible to the writer as "commit waiters this batch will serve" — the
-  // adaptive policy's load signal.
-  flush_waiters_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t flush_start = clock_->NowMicros();
   Status result = Status::OK();
   {
@@ -371,7 +366,6 @@ Status LogManager::Flush(Lsn upto) {
       flush_cv_.Wait(&lock);
     }
   }
-  flush_waiters_.fetch_sub(1, std::memory_order_relaxed);
   if (!result.ok()) {
     // Fired here — on the failing committer's thread, not on the writer
     // thread — so the degraded-mode marker lands on the lane of the
@@ -427,15 +421,14 @@ void LogManager::WriterLoop() {
       do_rotate = rotate_target > rotate_seq_done_;
     }
     const uint64_t wake = clock_->NowMicros();
-    // Adaptive batching window: committers released by the previous
-    // batch's completion re-commit nearly simultaneously, so the first
-    // stager's wakeup races the rest of the convoy — sleeping a short
-    // window here lets the whole convoy ride one fsync instead of
-    // splitting across two. Through the Clock seam, so ManualClock
-    // harnesses run the pipeline in deterministic virtual time. Skipped
-    // when rotating — RotateNow is a checkpoint-path barrier, not a
-    // commit.
-    const uint64_t window = policy_.window_micros();
+    // Group-commit window: committers released by the previous batch's
+    // completion re-commit nearly simultaneously, so the first stager's
+    // wakeup races the rest of the convoy — sleeping a short window here
+    // lets the whole convoy ride one fsync instead of splitting across
+    // two. Through the Clock seam, so ManualClock harnesses run the
+    // pipeline in deterministic virtual time. Skipped when rotating —
+    // RotateNow is a checkpoint-path barrier, not a commit.
+    const uint64_t window = options_.group_commit_window_micros;
     if (window > 0 && !do_rotate) clock_->SleepMicros(window);
     // Committers slower than the window would otherwise settle into two
     // alternating half-batches, each waiting out the other's device write.
@@ -494,7 +487,6 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target,
     pending_frames_.erase(pending_frames_.begin());
   }
   if (!pending_frames_.empty()) metrics_.staging_stalls->Add();
-  const uint32_t waiters = flush_waiters_.load(std::memory_order_relaxed);
 
   Status status = Status::OK();
   const uint64_t write_start = clock_->NowMicros();
@@ -531,7 +523,6 @@ void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target,
     metrics_.batch_records->Record(batch_count);
     metrics_.batch_bytes->Record(batch.size());
     metrics_.batch_window->Record(seal_start - wake_micros);
-    policy_.OnBatch(waiters);
   }
   if (file_ != nullptr) {
     uint64_t open_bytes;

@@ -19,7 +19,6 @@
 #include "common/status.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "wal/batch_policy.h"
 #include "wal/log_record.h"
 
 namespace ivdb {
@@ -48,11 +47,9 @@ struct LogManagerOptions {
   // gives an in-memory log (empty `dir`) a simulated device, and with it
   // the WAL writer.
   uint64_t flush_delay_micros = 0;
-  // Floor of the writer's adaptive batching window (PostgreSQL's
-  // commit_delay analog; see wal/batch_policy.h). The writer sleeps the
-  // current window after each wakeup so concurrent committers join the
-  // batch it is about to seal, and the policy doubles or halves the window
-  // inside [w, 2w] based on commits per batch. With a simulated device
+  // The writer's group-commit window (PostgreSQL's commit_delay analog):
+  // the writer sleeps exactly this long after each wakeup so concurrent
+  // committers join the batch it is about to seal. With a simulated device
   // (flush_delay_micros > 0) the window is followed by the convoy wait:
   // the writer keeps the batch open until the committers its last batch
   // released wait in Flush() again (those it left parked count at once),
@@ -340,7 +337,7 @@ class LogManager {
   size_t ShardIndex() const;
 
   // Body of the WAL-writer thread: park on writer_cv_ until work is
-  // requested, sleep the adaptive batching window, wait for the convoy
+  // requested, sleep the group-commit window, wait for the convoy
   // (AwaitConvoy), then run one WriteStagedBatch pass. Exits when
   // writer_stop_ is set.
   void WriterLoop();
@@ -356,8 +353,8 @@ class LogManager {
   // One writer pass: drain every staging shard into pending_frames_, write
   // the dense LSN prefix as ONE segment append + ONE fsync, rotate if due
   // (or `do_rotate`), then — under flush_mu_ — advance flushed_lsn_, ack
-  // rotation up to `rotate_target`, feed the policy, record the convoy and
-  // wake flush waiters. `wake_micros` is when the writer woke for this
+  // rotation up to `rotate_target`, record the convoy and wake flush
+  // waiters. `wake_micros` is when the writer woke for this
   // pass: the wait before sealing is measured from it. The durable
   // watermark deliberately advances only at the END of the pass (after
   // rotation I/O): a flush waiter that returns has therefore observed every
@@ -406,9 +403,9 @@ class LogManager {
   uint64_t rotate_seq_done_ IVDB_GUARDED_BY(flush_mu_) = 0;
   // The convoy wait's count: the LSN each committer in Flush() waits for,
   // until the pass that makes it durable sweeps it out as it releases the
-  // batch (flush_waiters_ keeps a released committer until it wakes).
-  // convoy_ is its size at the last release: the committers that pass
-  // released plus those still parked.
+  // batch (a count kept until the committer wakes would still hold the
+  // ones just released). convoy_ is its size at the last release: the
+  // committers that pass released plus those still parked.
   std::vector<Lsn> flush_waiting_ IVDB_GUARDED_BY(flush_mu_);
   size_t convoy_ IVDB_GUARDED_BY(flush_mu_) = 0;
 
@@ -451,15 +448,10 @@ class LogManager {
   // Empty when there is no device; writer_ then never starts either.
   std::vector<std::unique_ptr<StagingShard>> shards_;
 
-  // Committers currently inside Flush() — the writer reads this as the
-  // "commit waiters served" signal for the adaptive batch policy.
-  std::atomic<uint32_t> flush_waiters_{0};
-
   // Writer-thread-private: frames drained from shards but not yet written
-  // because of a head-of-line LSN gap, keyed by LSN, and the batching
-  // window. No lock — only the writer thread touches them.
+  // because of a head-of-line LSN gap, keyed by LSN. No lock — only the
+  // writer thread touches them.
   std::map<Lsn, std::string> pending_frames_;
-  AdaptiveBatchPolicy policy_;
   // The last non-empty batch's WriteBatch time on the steady clock; half
   // of it caps the convoy wait.
   std::chrono::steady_clock::duration last_device_time_{};

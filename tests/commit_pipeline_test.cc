@@ -1,7 +1,6 @@
 // Parallel group-commit pipeline (docs/INTERNALS.md, "Commit pipeline").
 //
 // Covers every batching boundary of the dedicated WAL writer:
-//   * adaptive batch-size convergence (pure policy state machine);
 //   * segment bytes independent of the staging-shard count for one append
 //     sequence;
 //   * flush joining — a returned Flush() implies the durable watermark
@@ -9,6 +8,8 @@
 //     fsyncs than commits;
 //   * deterministic pipeline operation under ManualClock (the batching
 //     window sleeps in virtual time, so nothing stalls or races the clock);
+//   * the seal rule — every batch waits exactly the configured window from
+//     the writer's wakeup to its seal, however many committers it serves;
 //   * the convoy wait — committers slower than the window still share one
 //     batch, and a committer that leaves costs at most one capped wait;
 //   * commit-visibility flips strictly in COMMIT-LSN order (observable as
@@ -32,59 +33,11 @@
 #include "common/env.h"
 #include "engine/database.h"
 #include "test_util.h"
-#include "wal/batch_policy.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
 
 namespace ivdb {
 namespace {
-
-// --- Adaptive batch-size convergence -------------------------------------
-
-TEST(AdaptiveBatchPolicy, GrowsUnderSustainedLoadAndConvergesAtMax) {
-  AdaptiveBatchPolicy policy(16, 1024);
-  ASSERT_EQ(policy.window_micros(), 16u);
-  // 16 -> 32 -> ... -> 1024 in six doublings; further load holds there.
-  for (int i = 0; i < 6; i++) {
-    policy.OnBatch(AdaptiveBatchPolicy::kGrowThreshold);
-  }
-  EXPECT_EQ(policy.window_micros(), 1024u);
-  for (int i = 0; i < 10; i++) policy.OnBatch(32);
-  EXPECT_EQ(policy.window_micros(), 1024u);
-}
-
-TEST(AdaptiveBatchPolicy, DecaysToMinWhenCommittersArriveAlone) {
-  AdaptiveBatchPolicy policy(16, 1024);
-  for (int i = 0; i < 6; i++) policy.OnBatch(8);
-  ASSERT_EQ(policy.window_micros(), 1024u);
-  for (int i = 0; i < 10; i++) policy.OnBatch(1);
-  EXPECT_EQ(policy.window_micros(), 16u);
-  policy.OnBatch(0);
-  EXPECT_EQ(policy.window_micros(), 16u);  // clamped, never below min
-}
-
-TEST(AdaptiveBatchPolicy, UnloadedEnginePaysNothingAndRegrowsFromFloor) {
-  AdaptiveBatchPolicy policy(0, 512);
-  EXPECT_EQ(policy.window_micros(), 0u);
-  policy.OnBatch(1);
-  EXPECT_EQ(policy.window_micros(), 0u);  // lone committers stay free
-  policy.OnBatch(AdaptiveBatchPolicy::kGrowThreshold);
-  EXPECT_EQ(policy.window_micros(), AdaptiveBatchPolicy::kFloorMicros);
-  for (int i = 0; i < 10; i++) {
-    policy.OnBatch(AdaptiveBatchPolicy::kGrowThreshold);
-  }
-  EXPECT_EQ(policy.window_micros(), 512u);
-}
-
-TEST(AdaptiveBatchPolicy, HoldsInTheMidBand) {
-  AdaptiveBatchPolicy policy(16, 1024);
-  policy.OnBatch(AdaptiveBatchPolicy::kGrowThreshold);
-  ASSERT_EQ(policy.window_micros(), 32u);
-  // 2..3 commits per batch: neither grow nor shrink.
-  policy.OnBatch(2);
-  policy.OnBatch(3);
-  EXPECT_EQ(policy.window_micros(), 32u);
-}
 
 // --- LogManager-level pipeline behaviour ----------------------------------
 
@@ -247,6 +200,48 @@ TEST_F(CommitPipelineWalTest, ManualClockRunsTheWindowInVirtualTime) {
   EXPECT_GE(clock.NowMicros(), 1000u + 10u * (50000u / 2 + 20000u));
   EXPECT_EQ(log.flushed_lsn(), 10u);
   EXPECT_EQ(log.metrics().convoy_timeouts->Value(), 0);
+}
+
+// The writer sleeps the window it is given, whatever the load: with eight
+// committers most batches serve several waiters, and still each one waits
+// exactly the window between the writer's wakeup and its seal. Only the
+// writer's sleeps (window and virtual device) move a ManualClock, and the
+// convoy wait runs on the steady clock, so the recorded wait of every
+// batch is the window to the microsecond.
+TEST_F(CommitPipelineWalTest, WindowDoesNotStretchUnderLoad) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50;
+  constexpr uint64_t kWindowMicros = 1000;
+  ManualClock clock(1000);
+  LogManagerOptions options;
+  options.flush_delay_micros = 1000;  // virtual 1 ms device
+  options.group_commit_window_micros = kWindowMicros;
+  options.clock = &clock;
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; i++) {
+        LogRecord rec = InsertRecord(
+            static_cast<TxnId>(t + 1),
+            "t" + std::to_string(t) + "-" + std::to_string(i));
+        if (!log.Append(&rec).ok() || !log.Flush(rec.lsn).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const auto waits = log.metrics().batch_window->Snap();
+  ASSERT_GT(waits.count, 0u);
+  EXPECT_EQ(waits.sum, waits.count * kWindowMicros)
+      << waits.count << " batches, longest wait " << waits.max << " us";
 }
 
 // Two closed-loop committers whose pauses straddle the batching window:

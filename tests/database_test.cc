@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <future>
+#include <thread>
+
 #include "test_util.h"
 
 namespace ivdb {
@@ -684,6 +689,81 @@ TEST_F(DatabaseTest, DirtyReadSeesUncommitted) {
   EXPECT_TRUE(db_->Get(dirty, "sales", {Value::Int64(1)})->has_value());
   EXPECT_TRUE(db_->Commit(dirty).ok());
   EXPECT_TRUE(db_->Abort(writer).ok());
+}
+
+// A DDL quiesces the engine: it closes the Begin gate and waits for every
+// active transaction. One idle transaction must not wedge the DDL, nor every
+// Begin queued behind the closed gate: past lock_wait_timeout the DDL
+// returns kBusy, reopens the gate and creates nothing.
+class DdlQuiesceTest : public SalesDbTest {
+ protected:
+  DdlQuiesceTest() {
+    options_.lock_wait_timeout = std::chrono::milliseconds(200);
+  }
+};
+
+TEST_F(DdlQuiesceTest, IdleReaderTurnsDdlIntoBusyAndLeavesNothingBehind) {
+  Commit([&](Transaction* txn) {
+    ASSERT_TRUE(db_->Insert(txn, "sales", Sale(1, "eu", 10.0, 2)).ok());
+    ASSERT_TRUE(db_->Insert(txn, "sales", Sale(2, "us", 5.0, 1)).ok());
+  });
+  struct Ddl {
+    const char* name;
+    std::function<Status()> run;
+    std::function<bool()> exists;
+  };
+  const Ddl ddls[] = {
+      {"CreateIndexedView",
+       [&] { return db_->CreateIndexedView(RegionView(sales_)).status(); },
+       [&] { return db_->GetView("by_region").ok(); }},
+      {"CreateSecondaryIndex",
+       [&] {
+         return db_->CreateSecondaryIndex("sales_region", "sales", {"region"})
+             .status();
+       },
+       [&] { return db_->catalog().GetSecondaryIndex("sales_region").ok(); }},
+  };
+  int64_t next_id = 3;
+  for (const Ddl& ddl : ddls) {
+    SCOPED_TRACE(ddl.name);
+    const size_t views = db_->ListViews().size();
+    const size_t indexes = db_->catalog().ListAllSecondaryIndexes().size();
+    Transaction* holder = db_->Begin(ReadMode::kSnapshot);
+    std::promise<Status> done;
+    std::future<Status> result = done.get_future();
+    std::thread runner([&] { done.set_value(ddl.run()); });
+    const bool returned = result.wait_for(std::chrono::seconds(3)) ==
+                          std::future_status::ready;
+    if (returned) {
+      // The gate is open again although the holder is still active.
+      Transaction* probe = db_->Begin();
+      EXPECT_TRUE(db_->Commit(probe).ok());
+    }
+    // Committed before asserting, so a DDL that hangs is released.
+    ASSERT_TRUE(db_->Commit(holder).ok());
+    runner.join();
+    ASSERT_TRUE(returned) << "the DDL waited past 3 s for an idle reader";
+    const Status first = result.get();
+    EXPECT_TRUE(first.IsBusy()) << first.ToString();
+    EXPECT_FALSE(ddl.exists());
+    EXPECT_EQ(db_->ListViews().size(), views);
+    EXPECT_EQ(db_->catalog().ListAllSecondaryIndexes().size(), indexes);
+
+    Transaction* after = db_->Begin();
+    ASSERT_TRUE(db_->Insert(after, "sales", Sale(next_id++, "eu", 1.0)).ok());
+    ASSERT_TRUE(db_->Commit(after).ok());
+
+    // With nothing left active the same DDL succeeds.
+    const Status second = ddl.run();
+    ASSERT_TRUE(second.ok()) << second.ToString();
+    EXPECT_TRUE(ddl.exists());
+  }
+  EXPECT_TRUE(db_->VerifyViewConsistency("by_region").ok());
+  Transaction* reader = db_->Begin();
+  auto eu = db_->GetByIndex(reader, "sales_region", {Value::String("eu")});
+  ASSERT_TRUE(eu.ok()) << eu.status().ToString();
+  EXPECT_EQ(eu->size(), 3u);  // ids 1, 3 and 4
+  EXPECT_TRUE(db_->Commit(reader).ok());
 }
 
 }  // namespace

@@ -250,13 +250,17 @@ TEST_F(TxnTest, OldestActiveTs) {
   EXPECT_GT(txns_.OldestActiveTs(), b->begin_ts());
 }
 
+// Far beyond any wait below: these quiesces end when the test commits.
+constexpr uint64_t kGenerousQuiesceMicros = 10'000'000;
+
 TEST_F(TxnTest, QuiesceBlocksNewTransactions) {
   Transaction* active = txns_.Begin();
   std::atomic<bool> quiesced{false};
   std::thread checkpointer([&] {
-    txns_.BeginQuiesce();
-    quiesced = true;
-    txns_.EndQuiesce();
+    if (txns_.TryQuiesce(kGenerousQuiesceMicros)) {
+      quiesced = true;
+      txns_.EndQuiesce();
+    }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(quiesced.load());
@@ -268,11 +272,29 @@ TEST_F(TxnTest, QuiesceBlocksNewTransactions) {
   ASSERT_TRUE(txns_.Commit(after).ok());
 }
 
+// Two quiescent sections that overlap (say, two DDLs on different
+// tables): the first one's end must not reopen the gate under the second.
+TEST_F(TxnTest, OverlappingQuiesceSectionsKeepTheGateClosed) {
+  ASSERT_TRUE(txns_.TryQuiesce(kGenerousQuiesceMicros));
+  ASSERT_TRUE(txns_.TryQuiesce(kGenerousQuiesceMicros));
+  txns_.EndQuiesce();
+  std::atomic<bool> begun{false};
+  std::thread user([&] {
+    Transaction* txn = txns_.Begin();
+    begun = true;
+    EXPECT_TRUE(txns_.Commit(txn).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(begun.load()) << "the gate reopened inside a section";
+  txns_.EndQuiesce();
+  user.join();
+  EXPECT_TRUE(begun.load());
+}
+
 TEST_F(TxnTest, SystemTxnBypassesQuiesceGate) {
   Transaction* user = txns_.Begin();
   std::thread quiescer([&] {
-    txns_.BeginQuiesce();
-    txns_.EndQuiesce();
+    if (txns_.TryQuiesce(kGenerousQuiesceMicros)) txns_.EndQuiesce();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   // While the quiescer waits on `user`, a system transaction must still run.
